@@ -22,6 +22,7 @@ must be the only gate line and must match the declared register.
 from __future__ import annotations
 
 import re
+from math import isfinite
 
 from .circuits import (
     Circuit,
@@ -73,9 +74,12 @@ class _Parser:
 
     def angle(self, token: str) -> float:
         try:
-            return parse_angle(token)
+            value = parse_angle(token)
         except ValueError:
             self.fail(f"bad angle {token!r}")
+        if not isfinite(value):
+            self.fail("angle must be finite")
+        return value
 
     def qubit(self, token: str, num_qubits: int) -> int:
         try:
@@ -166,12 +170,10 @@ def parse_circuit(text: str) -> Circuit:
             body, targets = p.split_on_colon(tokens[1:])
             if len(body) != 2 or not targets:
                 p.fail("expected: LAMBDA1 <angle> <c> : <t1> ...")
+            control, target_qs = p.qubit(body[1], n_total), tuple(p.qubit(t, n_total) for t in targets)
+            angle = p.angle(body[0])  # parsed outside the try, which would prefix the line number twice
             try:
-                gates = expand_lambda1(
-                    p.qubit(body[1], n_total),
-                    tuple(p.qubit(t, n_total) for t in targets),
-                    p.angle(body[0]),
-                )
+                gates = expand_lambda1(control, target_qs, angle)
             except ValueError as exc:
                 p.fail(str(exc))
             step_gates.append(gates)
@@ -179,12 +181,10 @@ def parse_circuit(text: str) -> Circuit:
             body, targets = p.split_on_colon(tokens[1:])
             if len(body) != 3 or not targets:
                 p.fail("expected: LAMBDA2 <angle> <c1> <c2> : <t1> ...")
+            controls = (p.qubit(body[1], n_total), p.qubit(body[2], n_total))
+            target_qs, angle = tuple(p.qubit(t, n_total) for t in targets), p.angle(body[0])
             try:
-                gates = expand_lambda2(
-                    (p.qubit(body[1], n_total), p.qubit(body[2], n_total)),
-                    tuple(p.qubit(t, n_total) for t in targets),
-                    p.angle(body[0]),
-                )
+                gates = expand_lambda2(controls, target_qs, angle)
             except ValueError as exc:
                 p.fail(str(exc))
             step_gates.append(gates)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from math import sqrt
 
 import numpy as np
@@ -105,23 +106,8 @@ class TraceTable:
                     "tau": row.tau,
                     "i_x": [_component_record(c) for c in row.ix],
                     "i_z": [_component_record(c) for c in row.iz],
-                    "angles": [
-                        {
-                            "rotation": a["rotation"],
-                            "sign": a["sign"],
-                            "parity": _component_record(a["parity"]),
-                        }
-                        for a in row.angles
-                    ],
-                    "outcomes": [
-                        {
-                            "rotation": o["rotation"],
-                            "label": o["label"],
-                            "value": o["value"],
-                            "kappa": o["kappa"],
-                        }
-                        for o in row.outcomes
-                    ],
+                    "angles": [{**a, "parity": _component_record(a["parity"])} for a in row.angles],
+                    "outcomes": row.outcomes,
                 }
             )
         return records
@@ -137,8 +123,7 @@ class TraceTable:
             if row.outcomes:
                 cells = [f"{o['label']}{_kappa_suffix(o)} <- {o['rotation']}" for o in row.outcomes]
                 if len(row.outcomes) > 1:
-                    block = row.outcomes[0]["block"]
-                    cells.append(f"{block} = " + "+".join(o["label"] for o in row.outcomes))
+                    cells.append(f"m{row.tau + 1} = " + "+".join(o["label"] for o in row.outcomes))
                 lines.append("  outcomes: " + "; ".join(cells))
         return "\n".join(lines) + "\n"
 
@@ -197,11 +182,7 @@ def _embed_logical(circuit: Circuit, initial_logical: StateVector | None, extra_
                 f"initial state has {initial_logical.num_qubits} qubits, circuit has {len(logicals)} logical"
             )
         psi = initial_logical.amplitudes
-    indices = np.arange(2**n)
-    key = np.zeros(2**n, dtype=np.int64)
-    for pos, q in enumerate(logicals):
-        key |= ((indices >> q) & 1) << pos
-    amps = psi[key] / sqrt(2 ** len(works))
+    amps = psi[_logical_key(circuit, n)] / sqrt(2 ** len(works))
     if extra_ancilla:
         amps = np.concatenate([amps, np.zeros_like(amps)])
         return StateVector(n + 1, amps)
@@ -218,12 +199,6 @@ def _logical_key(circuit: Circuit, num_qubits: int) -> np.ndarray:
 
 def _bits_to_string(bits) -> str:
     return "".join(str(b) for b in bits)
-
-
-def _numeric(component, binding) -> int:
-    if isinstance(component, int):
-        return component & 1
-    return component.evaluate(binding)
 
 
 def run_unitary(
@@ -265,114 +240,184 @@ def run_unitary(
     return state, distribution
 
 
+def _bit(component: int, outcomes: int) -> int:
+    """Value of an outcome-bitset component in a shot whose rotation outcomes
+    are the bits of `outcomes`."""
+    return (component & outcomes).bit_count() & 1
+
+
+@dataclass
+class _CompiledFlow:
+    """The classical side of a circuit, fixed before any shot runs.
+
+    Every flow component is an int used as a GF(2) bitset over rotation
+    outcomes (bit r stands for the outcome of rotation r), so a shot only
+    collects its outcomes and evaluates the bitsets it needs.  `plan` pairs
+    each gate with the bitsets its execution reads: the angle parity for RZ
+    and MZROT, the qubit's (x, z) for SQ.  `rows` holds the flow after each
+    step, row 0 being the all-zero start; `notes` holds (row, gate, angle
+    parity, label) per rotation.
+    """
+
+    plan: list[tuple[Gate, object]]
+    rows: list[tuple[list[int], list[int]]]
+    notes: list[tuple[int, MultiZRot, int, str]]
+    blocks: dict[str, frozenset]
+    final: InfoFlowVector
+
+    def evaluate(self, outcomes: int) -> InfoFlowVector:
+        return InfoFlowVector([_bit(c, outcomes) for c in self.final.x], [_bit(c, outcomes) for c in self.final.z])
+
+    def trace(self, records: list[RotationRecord], outcomes: int, symbolic: bool) -> TraceTable:
+        """The per-step table of one shot, with components as evaluated bits
+        or, in symbolic mode, as expressions over the outcome labels."""
+        render = self._symbolic_renderer() if symbolic else (lambda c: _bit(c, outcomes))
+        rows = [TraceRow(tau, [render(c) for c in x], [render(c) for c in z]) for tau, (x, z) in enumerate(self.rows)]
+        for (tau, gate, parity, label), rec in zip(self.notes, records):
+            name, sign = _rotation_label(gate.leaves, gate.theta), 1 if gate.theta >= 0 else -1
+            rows[tau].angles.append({"rotation": name, "sign": sign, "parity": render(parity)})
+            rows[tau].outcomes.append({"rotation": name, "label": label, "value": rec.outcome, "kappa": rec.kappa})
+        return TraceTable(rows, self.blocks)
+
+    def _symbolic_renderer(self):
+        labels = [label for *_, label in self.notes]
+
+        @cache
+        def render(component: int):
+            names = [labels[r] for r in range(component.bit_length()) if component >> r & 1]
+            symbols = set(names)
+            if len(symbols) < len(names):
+                # labels can repeat (step 2's fourth rotation and step 24's
+                # only one are both m24); a repeated label cancels over GF(2)
+                symbols = {name for name in symbols if names.count(name) % 2}
+            return Gf2Expr(symbols) if symbols else 0
+
+        return render
+
+
+def _compile_flow(circuit: Circuit) -> _CompiledFlow:
+    """Push a flow of outcome bitsets through the tracker rules once, with
+    rotation r absorbing the bitset 1 << r."""
+    flow = tracker.init_flow(circuit.num_qubits)
+    compiled = _CompiledFlow([], [(flow.x, flow.z)], [], {}, flow)
+    for step_pos, group in enumerate(circuit.step_groups(), start=1):
+        step_gates = [circuit.gates[i] for i in group]
+        rotations_in_step = sum(1 for g in step_gates if isinstance(g, MultiZRot))
+        labels = []
+        for gate in step_gates:
+            reads = None
+            if isinstance(gate, NamedGate):
+                if gate.name == "H":
+                    flow = tracker.propagate(flow, ("H", gate.q))
+                elif gate.name == "RZ":
+                    reads = tracker.angle_parity(flow, (gate.q,))
+            elif isinstance(gate, SingleQubit):
+                reads = (flow.x[gate.q], flow.z[gate.q])
+            elif isinstance(gate, CzGate):
+                flow = tracker.propagate(flow, ("CZ", gate.a, gate.b))
+            elif isinstance(gate, MultiZRot):
+                reads = tracker.angle_parity(flow, gate.leaves)
+                label = f"m{step_pos}" if rotations_in_step == 1 else f"m{step_pos}{len(labels) + 1}"
+                labels.append(label)
+                rotation = len(compiled.notes)
+                compiled.notes.append((step_pos - 1, gate, reads, label))
+                flow = tracker.absorb_rotation_outcome(flow, gate.leaves, 1 << rotation)
+            else:
+                raise ValueError(f"cannot execute {gate!r}")
+            compiled.plan.append((gate, reads))
+        if len(labels) > 1:
+            compiled.blocks[f"m{step_pos}"] = frozenset(labels)
+        compiled.rows.append((flow.x, flow.z))
+    compiled.final = flow
+    return compiled
+
+
 def _execute_hybrid(
     circuit: Circuit,
+    compiled: _CompiledFlow,
     config: ExecutionConfig,
     shot: int,
     initial_logical: StateVector | None,
 ):
     """One hybrid trajectory without the final readout.
 
-    Returns (state incl. ancilla, flow, rotation records, binding, trace,
-    and the shot's live random stream for any follow-up draws).
+    Returns (state incl. ancilla, outcome bitset, rotation records, and the
+    shot's live random stream for any follow-up draws).
     """
     rng = RandomSource(config.seed, shot)
     ancilla = circuit.num_qubits
     state = _embed_logical(circuit, initial_logical, extra_ancilla=True)
-    flow = tracker.init_flow(circuit.num_qubits)
-    binding: dict[str, int] = {}
+    outcomes = 0
     records: list[RotationRecord] = []
-    rotation_index = 0
-
-    want_trace = config.trace or config.symbolic
-    rows: list[TraceRow] = []
-    blocks: dict[str, frozenset] = {}
-    if want_trace:
-        rows.append(TraceRow(0, list(flow.x), list(flow.z)))
-
-    for step_pos, group in enumerate(circuit.step_groups(), start=1):
-        step_gates = [circuit.gates[i] for i in group]
-        rotations_in_step = sum(1 for g in step_gates if isinstance(g, MultiZRot))
-        k_in_step = 0
-        for gate in step_gates:
-            if isinstance(gate, NamedGate):
-                if gate.name == "H":
-                    state = apply_named(state, gate.q, "H")
-                    flow = tracker.propagate(flow, ("H", gate.q))
-                elif gate.name == "X":
-                    state = apply_named(state, gate.q, "X")
-                else:  # RZ: rotation path, executed with a sign-adapted angle
-                    x_q = _numeric(flow.x[gate.q], binding)
-                    state = apply_named(state, gate.q, "RZ", (-1) ** x_q * gate.phi)
-            elif isinstance(gate, SingleQubit):
-                x_q = _numeric(flow.x[gate.q], binding)
-                z_q = _numeric(flow.z[gate.q], binding)
-                axis = tracker.adapt_axis(x_q, z_q, BlochVector(gate.theta, gate.phi))
-                state = apply_single_qubit(state, gate.q, axis, gate.alpha)
-            elif isinstance(gate, CzGate):
-                state = apply_cz(state, gate.a, gate.b)
-                flow = tracker.propagate(flow, ("CZ", gate.a, gate.b))
-            elif isinstance(gate, MultiZRot):
-                k_in_step += 1
-                parity = tracker.angle_parity(flow, gate.leaves)
-                parity_value = _numeric(parity, binding) if isinstance(parity, Gf2Expr) else parity & 1
-                theta_exec = (-1) ** parity_value * gate.theta
-
-                if isinstance(config.kappa, list):
-                    kappa = config.kappa[rotation_index]
-                elif config.kappa == "random":
-                    kappa = rng.bit()
-                else:
-                    kappa = gate.kappa
-                forced = None
-                if config.forced_outcomes is not None:
-                    forced = config.forced_outcomes[rotation_index]
-
-                record, state = star.multi_z_rotation(
-                    state,
-                    gate.leaves,
-                    theta_exec,
-                    AncillaPrep(kappa),
-                    ancilla,
-                    rng,
-                    forced=forced,
-                    theta_requested=gate.theta,
-                )
-                state = star.reset_to_zero(state, ancilla, rng)
-                records.append(record)
-                rotation_index += 1
-
-                label = f"m{step_pos}" if rotations_in_step == 1 else f"m{step_pos}{k_in_step}"
-                if config.symbolic:
-                    binding[label] = record.outcome
-                    absorbed = Gf2Expr.var(label)
-                else:
-                    absorbed = record.outcome
-                flow = tracker.absorb_rotation_outcome(flow, gate.leaves, absorbed)
-
-                if want_trace:
-                    rotation_name = _rotation_label(gate.leaves, gate.theta)
-                    rows[-1].angles.append(
-                        {"rotation": rotation_name, "sign": 1 if gate.theta >= 0 else -1, "parity": parity}
-                    )
-                    rows[-1].outcomes.append(
-                        {
-                            "rotation": rotation_name,
-                            "label": label,
-                            "value": record.outcome,
-                            "kappa": kappa,
-                            "block": f"m{step_pos}",
-                        }
-                    )
+    for gate, reads in compiled.plan:
+        if isinstance(gate, NamedGate):
+            if gate.name == "RZ":  # rotation path, executed with a sign-adapted angle
+                state = apply_named(state, gate.q, "RZ", (-1) ** _bit(reads, outcomes) * gate.phi)
             else:
-                raise ValueError(f"cannot execute {gate!r}")
-        if want_trace:
-            if rotations_in_step > 1:
-                blocks[f"m{step_pos}"] = frozenset(o["label"] for o in rows[-1].outcomes)
-            rows.append(TraceRow(step_pos, list(flow.x), list(flow.z)))
+                state = apply_named(state, gate.q, gate.name)
+        elif isinstance(gate, SingleQubit):
+            x, z = reads
+            axis = tracker.adapt_axis(_bit(x, outcomes), _bit(z, outcomes), BlochVector(gate.theta, gate.phi))
+            state = apply_single_qubit(state, gate.q, axis, gate.alpha)
+        elif isinstance(gate, CzGate):
+            state = apply_cz(state, gate.a, gate.b)
+        else:
+            rotation = len(records)
+            if isinstance(config.kappa, list):
+                kappa = config.kappa[rotation]
+            elif config.kappa == "random":
+                kappa = rng.bit()
+            else:
+                kappa = gate.kappa
+            forced = None if config.forced_outcomes is None else config.forced_outcomes[rotation]
+            record, state = star.multi_z_rotation(
+                state,
+                gate.leaves,
+                (-1) ** _bit(reads, outcomes) * gate.theta,
+                AncillaPrep(kappa),
+                ancilla,
+                rng,
+                forced=forced,
+                theta_requested=gate.theta,
+            )
+            state = star.reset_to_zero(state, ancilla, rng)
+            records.append(record)
+            outcomes |= int(record.outcome) << rotation
+    return state, outcomes, records, rng
 
-    trace = TraceTable(rows, blocks) if want_trace else None
-    return state, flow, records, binding, trace, rng
+
+def _run_shots(
+    circuit: Circuit,
+    config: ExecutionConfig,
+    initial_logical: StateVector | None,
+    reference: StateVector | None = None,
+) -> list[ShotResult]:
+    """Every shot of a validated run, read out and corrected; with a
+    reference state each shot's fidelity is filled in too."""
+    compiled = _compile_flow(circuit)
+    reported = circuit.logicals if not config.include_work_readout else tuple(range(circuit.num_qubits))
+    results = []
+    for shot in range(config.shots):
+        state, outcomes, records, rng = _execute_hybrid(circuit, compiled, config, shot, initial_logical)
+        flow = compiled.evaluate(outcomes)
+        probs = state.probabilities()
+        half = probs.size // 2  # ancilla (top qubit) is |0> after resets
+        index = rng.sample_index(probs[:half] + probs[half:])
+        raw_full = [(index >> q) & 1 for q in range(circuit.num_qubits)]
+        corrected_full = tracker.correct_readout(raw_full, flow)
+        result = ShotResult(
+            raw=tuple(raw_full[q] for q in reported),
+            corrected=tuple(corrected_full[q] for q in reported),
+            flow=flow,
+            rotations=records,
+            reported_qubits=reported,
+        )
+        if config.trace or config.symbolic:
+            result.trace = compiled.trace(records, outcomes, config.symbolic)
+        if reference is not None:
+            result.fidelity = fidelity(_undo_byproduct(state, flow), reference)
+        results.append(result)
+    return results
 
 
 def run_hqcm(
@@ -386,31 +431,7 @@ def run_hqcm(
     circuit.validate()
     config = config or ExecutionConfig()
     config.validate(circuit)
-
-    reported = circuit.logicals if not config.include_work_readout else tuple(range(circuit.num_qubits))
-    results = []
-    for shot in range(config.shots):
-        state, flow, records, binding, trace, rng = _execute_hybrid(circuit, config, shot, initial_logical)
-        results.append(_readout_shot(circuit, state, flow, records, binding, trace, reported, rng))
-    return results
-
-
-def _readout_shot(circuit, state, flow, records, binding, trace, reported, rng) -> ShotResult:
-    numeric_flow = flow if flow.is_numeric() else flow.evaluate(binding)
-    probs = state.probabilities()
-    half = probs.size // 2  # ancilla (top qubit) is |0> after resets
-    register_probs = probs[:half] + probs[half:]
-    index = rng.sample_index(register_probs)
-    raw_full = [(index >> q) & 1 for q in range(circuit.num_qubits)]
-    corrected_full = tracker.correct_readout(raw_full, numeric_flow)
-    return ShotResult(
-        raw=tuple(raw_full[q] for q in reported),
-        corrected=tuple(corrected_full[q] for q in reported),
-        flow=numeric_flow,
-        rotations=records,
-        reported_qubits=reported,
-        trace=trace,
-    )
+    return _run_shots(circuit, config, initial_logical)
 
 
 def corrected_histogram(results: list[ShotResult]) -> dict[str, int]:
@@ -422,7 +443,7 @@ def corrected_histogram(results: list[ShotResult]) -> dict[str, int]:
 
 
 def total_variation(p: dict[str, float], q: dict[str, float]) -> float:
-    keys = set(p) | set(q)
+    keys = sorted(set(p) | set(q))
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 
@@ -440,15 +461,7 @@ def run_both(
     circuit.validate()
     config.validate(circuit)
     unitary_state, distribution = run_unitary(circuit, initial_logical)
-    reference = _with_ancilla(unitary_state)
-    reported = circuit.logicals if not config.include_work_readout else tuple(range(circuit.num_qubits))
-    results = []
-    for shot in range(config.shots):
-        state, flow, records, binding, trace, rng = _execute_hybrid(circuit, config, shot, initial_logical)
-        numeric_flow = flow if flow.is_numeric() else flow.evaluate(binding)
-        result = _readout_shot(circuit, state, flow, records, binding, trace, reported, rng)
-        result.fidelity = fidelity(_undo_byproduct(state, numeric_flow), reference)
-        results.append(result)
+    results = _run_shots(circuit, config, initial_logical, reference=_with_ancilla(unitary_state))
     shots = max(1, len(results))
     empirical = {k: v / shots for k, v in corrected_histogram(results).items()}
     tv = total_variation(empirical, distribution)
@@ -492,15 +505,17 @@ def verify_equivalence(
     Trials differ in their measurement randomness; with random_inputs each
     trial also draws a fresh Haar-like logical input state.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     circuit.validate()
+    compiled = _compile_flow(circuit)
     input_rng = np.random.default_rng(seed)
     fidelities = []
     config = ExecutionConfig(seed=seed)
     for trial in range(trials):
         initial = _random_state(len(circuit.logicals), input_rng) if random_inputs else None
-        state, flow, _, binding, _, _ = _execute_hybrid(circuit, config, trial, initial)
-        numeric_flow = flow if flow.is_numeric() else flow.evaluate(binding)
-        corrected = _undo_byproduct(state, numeric_flow)
+        state, outcomes, _, _ = _execute_hybrid(circuit, compiled, config, trial, initial)
+        corrected = _undo_byproduct(state, compiled.evaluate(outcomes))
         reference, _ = run_unitary(circuit, initial)
         fidelities.append(fidelity(corrected, _with_ancilla(reference)))
     return EquivalenceReport(
@@ -550,19 +565,10 @@ def random_circuit(num_logical: int, num_gates: int, rng: np.random.Generator) -
 def replay_flow(circuit: Circuit, outcomes: list[int]) -> InfoFlowVector:
     """Recompute the final flow from the circuit and the rotation outcomes
     alone; no statevector involved."""
-    flow = tracker.init_flow(circuit.num_qubits)
-    index = 0
-    for gate in circuit.gates:
-        if isinstance(gate, NamedGate) and gate.name == "H":
-            flow = tracker.propagate(flow, ("H", gate.q))
-        elif isinstance(gate, CzGate):
-            flow = tracker.propagate(flow, ("CZ", gate.a, gate.b))
-        elif isinstance(gate, MultiZRot):
-            flow = tracker.absorb_rotation_outcome(flow, gate.leaves, outcomes[index] & 1)
-            index += 1
-    if index != len(outcomes):
-        raise ValueError(f"circuit has {index} rotations, got {len(outcomes)} outcomes")
-    return flow
+    compiled = _compile_flow(circuit)
+    if len(outcomes) != len(compiled.notes):
+        raise ValueError(f"circuit has {len(compiled.notes)} rotations, got {len(outcomes)} outcomes")
+    return compiled.evaluate(sum((int(m) & 1) << r for r, m in enumerate(outcomes)))
 
 
 def results_to_json(

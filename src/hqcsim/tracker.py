@@ -3,8 +3,9 @@ matrices, measurement-angle adaptation, and readout correction.
 
 The byproduct accumulated on an n-qubit register is the Pauli product
 prod_j X_j^{x_j} Z_j^{z_j} (phases dropped); it is stored as the flow vector
-(x_1..x_n, z_1..z_n).  Components are plain ints in numeric mode or `Gf2Expr`
-in symbolic mode, and both support `^` so the update rules are mode-agnostic.
+(x_1..x_n, z_1..z_n).  A component is a bit, an outcome bitset (an int whose
+bit r stands for the outcome of rotation r) or a `Gf2Expr`; all of them
+support `^`, so one set of update rules serves every kind.
 """
 from __future__ import annotations
 
@@ -81,13 +82,9 @@ class Gf2Expr:
         return f"Gf2Expr({str(self)})"
 
 
-def _is_zero(component) -> bool:
-    return component == 0
-
-
 @dataclass
 class InfoFlowVector:
-    """Per-qubit X and Z byproduct exponents, numeric (ints) or symbolic."""
+    """Per-qubit X and Z byproduct exponents: bits, outcome bitsets or Gf2Expr."""
 
     x: list
     z: list
@@ -101,12 +98,6 @@ class InfoFlowVector:
 
     def is_numeric(self) -> bool:
         return all(isinstance(c, int) for c in self.x + self.z)
-
-    def bits(self) -> np.ndarray:
-        """The 2n-vector (x; z) as a uint8 array; numeric mode only."""
-        if not self.is_numeric():
-            raise ValueError("flow vector has unbound symbolic entries")
-        return np.array([c & 1 for c in self.x + self.z], dtype=np.uint8)
 
     def evaluate(self, binding: Mapping[str, int]) -> "InfoFlowVector":
         """Bind every symbol to a bit, yielding a numeric flow vector."""
@@ -165,17 +156,11 @@ class PropagationMatrix:
     def apply(self, flow: InfoFlowVector) -> InfoFlowVector:
         if flow.n != self.n:
             raise ValueError("flow size does not match matrix size")
-        if flow.is_numeric():
-            out = (self.mat @ flow.bits()) % 2
-            return InfoFlowVector([int(v) for v in out[: self.n]], [int(v) for v in out[self.n :]])
         components = flow.x + flow.z
-        result = []
-        for row in self.mat:
-            acc = 0
-            for l, entry in enumerate(row):
-                if entry:
-                    acc = acc ^ components[l]
-            result.append(acc)
+        result = [0] * (2 * self.n)
+        rows, cols = np.nonzero(self.mat)
+        for row, col in zip(rows.tolist(), cols.tolist()):
+            result[row] = result[row] ^ components[col]
         return InfoFlowVector(result[: self.n], result[self.n :])
 
 

@@ -2,7 +2,10 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from hqcsim import cli
+from hqcsim.circuit_text import CircuitParseError, parse_circuit
 from hqcsim.runner import EquivalenceReport
 
 DATA = Path(__file__).parent / "data"
@@ -74,6 +77,25 @@ class TestRunCommand:
         assert cli.main(["run", str(CIRCUITS / "mixed_demo.hqc"), "--shots", "4"]) == 0
         json.loads(capsys.readouterr().out)
 
+    @pytest.mark.parametrize("golden, mode", [("mixed_demo_trace.json", "hqcm"), ("mixed_demo_both.json", "both")])
+    def test_fixed_seed_json_matches_golden(self, tmp_path, golden, mode):
+        out = tmp_path / "out.json"
+        args = ["run", str(CIRCUITS / "mixed_demo.hqc"), "--mode", mode, "--trace", "--random-kappa",
+                "--include-work", "--shots", "8", "--seed", "7", "--out", str(out)]
+        assert cli.main(args) == 0
+        assert out.read_bytes() == (DATA / golden).read_bytes()
+
+    @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "line", ["RZ 1 {}", "SQ 1 pi/2 {} 0", "MZROT {} 1 2", "LAMBDA1 {} 1 : 2 3", "LAMBDA2 {} 1 2 : 3"]
+    )
+    def test_non_finite_angle_exits_one(self, tmp_path, capsys, line, angle):
+        text = "qubits 3\n" + line.format(angle) + "\n"
+        with pytest.raises(CircuitParseError, match="^line 2: angle must be finite$"):
+            parse_circuit(text)
+        assert cli.main(["run", write_circuit(tmp_path, text)]) == 1
+        assert capsys.readouterr().err == "error: line 2: angle must be finite\n"
+
 
 class TestGroverCommand:
     def test_histogram_concentrates(self, tmp_path, capsys):
@@ -95,6 +117,10 @@ class TestVerifyCommand:
 
     def test_shipped_grover_file_passes(self, capsys):
         assert cli.main(["verify", str(CIRCUITS / "grover3.hqc"), "--trials", "3"]) == 0
+
+    def test_zero_trials_exits_one(self, capsys):
+        assert cli.main(["verify", str(CIRCUITS / "mixed_demo.hqc"), "--trials", "0"]) == 1
+        assert capsys.readouterr().err == "error: trials must be >= 1\n"
 
     def test_failure_exits_two(self, monkeypatch, tmp_path, capsys):
         path = write_circuit(tmp_path, "qubits 1\nH 1\n")

@@ -1,10 +1,25 @@
 """Executor tests: hybrid vs unitary runs, traces, equivalence, JSON output."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hqcsim.circuits import Circuit, CzGate, MultiZRot, NamedGate, SingleQubit, build_grover, triple_control_z_circuit
+from hqcsim import tracker
+from hqcsim.circuit_text import parse_circuit
+from hqcsim.circuits import (
+    Circuit,
+    CzGate,
+    MultiZRot,
+    NamedGate,
+    SingleQubit,
+    build_grover,
+    expand_lambda_z_steps,
+    triple_control_z_circuit,
+)
 from hqcsim.core import make_basis_state
 from hqcsim.runner import (
     ExecutionConfig,
@@ -18,9 +33,11 @@ from hqcsim.runner import (
     total_variation,
     verify_equivalence,
 )
-from hqcsim.tracker import Gf2Expr, InfoFlowVector
+from hqcsim.tracker import Gf2Expr, InfoFlowVector, absorb_rotation_outcome, init_flow, propagate
 
 import oracles
+
+SRC = Path(__file__).parent.parent / "src"
 
 
 class TestRunUnitary:
@@ -143,6 +160,47 @@ class TestTrace:
         expected_x4 = Gf2Expr.var("m31") ^ Gf2Expr.var("m32") ^ Gf2Expr.var("m71") ^ Gf2Expr.var("m72")
         assert row9.ix == [0, 0, 0, expected_x4, 0, 0]
 
+    def test_cancelled_symbolic_component_is_int_zero(self):
+        circuit = parse_circuit("qubits 2\nMZROT pi/3 1\nH 1\nCZ 1 2\nCZ 1 2\n")
+        config = ExecutionConfig(symbolic=True, seed=0)
+        payload = json.loads(results_to_json(circuit, config, run_hqcm(circuit, config)))
+        assert payload["trace"][4]["i_z"] == [0, 0]
+
+
+class TestCompiledFlow:
+    def test_propagation_does_not_grow_with_shots(self, monkeypatch):
+        calls = []
+        original = tracker.propagate
+        monkeypatch.setattr(tracker, "propagate", lambda *args: calls.append(args) or original(*args))
+        circuit = build_grover(2, 3)
+        counts = []
+        for shots in (1, 10):
+            calls.clear()
+            run_hqcm(circuit, ExecutionConfig(shots=shots, seed=1))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+    def test_final_flow_matches_stepwise_propagation(self):
+        rng = np.random.default_rng(21)
+        for trial in range(10):
+            gates = random_circuit(6, 14, rng).gates
+            steps = [[g] for g in gates[:7]] + expand_lambda_z_steps((0, 1, 2), 3, (4, 5)) + [[g] for g in gates[7:]]
+            circuit = Circuit.from_steps(4, 2, steps)
+            forced = [int(b) for b in rng.integers(0, 2, circuit.rotation_count())]
+            result = run_hqcm(circuit, ExecutionConfig(seed=trial, kappa="random", forced_outcomes=forced))[0]
+            flow = init_flow(circuit.num_qubits)
+            outcomes = iter(forced)
+            for gate in circuit.gates:
+                if isinstance(gate, NamedGate) and gate.name == "H":
+                    flow = propagate(flow, ("H", gate.q))
+                elif isinstance(gate, CzGate):
+                    flow = propagate(flow, ("CZ", gate.a, gate.b))
+                elif isinstance(gate, MultiZRot):
+                    flow = absorb_rotation_outcome(flow, gate.leaves, next(outcomes))
+            assert [r.outcome for r in result.rotations] == forced
+            assert result.flow == flow
+            assert replay_flow(circuit, forced) == flow
+
 
 class TestEquivalence:
     def test_unitary_only_circuit_is_exact(self):
@@ -167,6 +225,10 @@ class TestEquivalence:
         results, _, _, _ = run_both(circuit, ExecutionConfig(shots=20, seed=7, kappa="random"))
         assert min(r.fidelity for r in results) >= 1 - 1e-10
 
+    def test_trials_validated(self):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            verify_equivalence(Circuit(1, 0, [NamedGate(0, "H")]), trials=0)
+
     def test_kappa_list_applied(self):
         circuit = Circuit(1, 0, [MultiZRot((0,), 0.4)])
         results = run_hqcm(circuit, ExecutionConfig(kappa=[1], seed=0))
@@ -186,6 +248,21 @@ class TestRunBoth:
     def test_total_variation_basics(self):
         assert total_variation({"0": 1.0}, {"0": 1.0}) == 0
         assert abs(total_variation({"0": 1.0}, {"1": 1.0}) - 1.0) < 1e-12
+
+    def test_tv_independent_of_string_hashing(self):
+        script = (
+            "import numpy as np\n"
+            "from hqcsim.runner import ExecutionConfig, random_circuit, run_both\n"
+            "circuit = random_circuit(4, 10, np.random.default_rng(7))\n"
+            "print(repr(run_both(circuit, ExecutionConfig(shots=3, seed=8))[3]))\n"
+        )
+        outputs = []
+        for hash_seed in ("1", "2"):
+            path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, check=True, timeout=60)
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestJson:
