@@ -2,10 +2,12 @@
 Clifford frame) runner, the pure-unitary reference runner, the per-step trace
 table, and the equivalence harness.
 
-Hybrid execution uses one extra ancilla qubit appended after the circuit
-register; it is re-prepared, measured, and reset for every multi-qubit
-rotation.  Per shot the random draws happen in a fixed order (per rotation:
-optional kappa draw, measurement, reset; then one readout draw), so identical
+Hybrid execution holds the circuit register only, with no appended ancilla:
+each multi-qubit rotation runs as `star.fused_rotation`, the star
+measurement's action on the register.  Per shot the random draws happen in a
+fixed order (per rotation: an optional kappa bit, the measurement, and a
+reset draw when both ancilla reset branches are possible; then one readout
+draw), the same draws the explicit star construction makes, so identical
 (seed, shot) pairs replay identically.
 """
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from . import star, tracker
 from .circuits import Circuit, CzGate, Gate, MultiZRot, NamedGate, SingleQubit
 from .core import BlochVector, RandomSource, StateVector, apply_cz, apply_named, apply_single_qubit, fidelity
-from .star import AncillaPrep, RotationRecord
+from .star import RotationRecord
 from .tracker import Gf2Expr, InfoFlowVector, render_component, render_flow
 
 __all__ = [
@@ -167,9 +169,8 @@ class ShotResult:
     trace: TraceTable | None = None
 
 
-def _embed_logical(circuit: Circuit, initial_logical: StateVector | None, extra_ancilla: bool) -> StateVector:
-    """Full-register state: logical amplitudes in place, works in |+>, and an
-    optional trailing ancilla in |0>."""
+def _embed_logical(circuit: Circuit, initial_logical: StateVector | None) -> StateVector:
+    """Full-register state: logical amplitudes in place, works in |+>."""
     n = circuit.num_qubits
     logicals = circuit.logicals
     works = circuit.works
@@ -182,11 +183,10 @@ def _embed_logical(circuit: Circuit, initial_logical: StateVector | None, extra_
                 f"initial state has {initial_logical.num_qubits} qubits, circuit has {len(logicals)} logical"
             )
         psi = initial_logical.amplitudes
-    amps = psi[_logical_key(circuit, n)] / sqrt(2 ** len(works))
-    if extra_ancilla:
-        amps = np.concatenate([amps, np.zeros_like(amps)])
-        return StateVector(n + 1, amps)
-    return StateVector(n, amps)
+        norm = float(np.linalg.norm(psi))
+        if abs(norm - 1.0) > 1e-8:
+            raise ValueError(f"initial state must have norm 1, got {norm:.12g}")
+    return StateVector(n, psi[_logical_key(circuit, n)] / sqrt(2 ** len(works)))
 
 
 def _logical_key(circuit: Circuit, num_qubits: int) -> np.ndarray:
@@ -201,6 +201,23 @@ def _bits_to_string(bits) -> str:
     return "".join(str(b) for b in bits)
 
 
+def _unitary_state(circuit: Circuit, initial_logical: StateVector | None) -> StateVector:
+    """The register state after every gate runs as a unitary."""
+    state = _embed_logical(circuit, initial_logical)
+    for gate in circuit.gates:
+        if isinstance(gate, NamedGate):
+            state = apply_named(state, gate.q, gate.name, gate.phi)
+        elif isinstance(gate, SingleQubit):
+            state = apply_single_qubit(state, gate.q, BlochVector(gate.theta, gate.phi), gate.alpha)
+        elif isinstance(gate, CzGate):
+            state = apply_cz(state, gate.a, gate.b)
+        elif isinstance(gate, MultiZRot):
+            state = star.apply_multi_z_unitary(state, gate.leaves, gate.theta)
+        else:
+            raise ValueError(f"cannot execute {gate!r}")
+    return state
+
+
 def run_unitary(
     circuit: Circuit,
     initial_logical: StateVector | None = None,
@@ -213,18 +230,7 @@ def run_unitary(
     include_work is set); bitstring keys list qubits in ascending index order.
     """
     circuit.validate()
-    state = _embed_logical(circuit, initial_logical, extra_ancilla=False)
-    for gate in circuit.gates:
-        if isinstance(gate, NamedGate):
-            state = apply_named(state, gate.q, gate.name, gate.phi)
-        elif isinstance(gate, SingleQubit):
-            state = apply_single_qubit(state, gate.q, BlochVector(gate.theta, gate.phi), gate.alpha)
-        elif isinstance(gate, CzGate):
-            state = apply_cz(state, gate.a, gate.b)
-        elif isinstance(gate, MultiZRot):
-            state = star.apply_multi_z_unitary(state, gate.leaves, gate.theta)
-        else:
-            raise ValueError(f"cannot execute {gate!r}")
+    state = _unitary_state(circuit, initial_logical)
     probs = state.probabilities()
     if include_work:
         keys = np.arange(probs.size)
@@ -341,12 +347,11 @@ def _execute_hybrid(
 ):
     """One hybrid trajectory without the final readout.
 
-    Returns (state incl. ancilla, outcome bitset, rotation records, and the
-    shot's live random stream for any follow-up draws).
+    Returns (register state, outcome bitset, rotation records, and the shot's
+    live random stream for any follow-up draws).
     """
     rng = RandomSource(config.seed, shot)
-    ancilla = circuit.num_qubits
-    state = _embed_logical(circuit, initial_logical, extra_ancilla=True)
+    state = _embed_logical(circuit, initial_logical)
     outcomes = 0
     records: list[RotationRecord] = []
     for gate, reads in compiled.plan:
@@ -370,17 +375,15 @@ def _execute_hybrid(
             else:
                 kappa = gate.kappa
             forced = None if config.forced_outcomes is None else config.forced_outcomes[rotation]
-            record, state = star.multi_z_rotation(
+            record, state = star.fused_rotation(
                 state,
                 gate.leaves,
                 (-1) ** _bit(reads, outcomes) * gate.theta,
-                AncillaPrep(kappa),
-                ancilla,
+                kappa,
                 rng,
                 forced=forced,
                 theta_requested=gate.theta,
             )
-            state = star.reset_to_zero(state, ancilla, rng)
             records.append(record)
             outcomes |= int(record.outcome) << rotation
     return state, outcomes, records, rng
@@ -400,9 +403,7 @@ def _run_shots(
     for shot in range(config.shots):
         state, outcomes, records, rng = _execute_hybrid(circuit, compiled, config, shot, initial_logical)
         flow = compiled.evaluate(outcomes)
-        probs = state.probabilities()
-        half = probs.size // 2  # ancilla (top qubit) is |0> after resets
-        index = rng.sample_index(probs[:half] + probs[half:])
+        index = rng.sample_index(state.probabilities())
         raw_full = [(index >> q) & 1 for q in range(circuit.num_qubits)]
         corrected_full = tracker.correct_readout(raw_full, flow)
         result = ShotResult(
@@ -461,16 +462,11 @@ def run_both(
     circuit.validate()
     config.validate(circuit)
     unitary_state, distribution = run_unitary(circuit, initial_logical)
-    results = _run_shots(circuit, config, initial_logical, reference=_with_ancilla(unitary_state))
+    results = _run_shots(circuit, config, initial_logical, reference=unitary_state)
     shots = max(1, len(results))
     empirical = {k: v / shots for k, v in corrected_histogram(results).items()}
     tv = total_variation(empirical, distribution)
     return results, unitary_state, distribution, tv
-
-
-def _with_ancilla(state: StateVector) -> StateVector:
-    amps = np.concatenate([state.amplitudes, np.zeros_like(state.amplitudes)])
-    return StateVector(state.num_qubits + 1, amps)
 
 
 def _undo_byproduct(state: StateVector, flow: InfoFlowVector) -> StateVector:
@@ -516,8 +512,7 @@ def verify_equivalence(
         initial = _random_state(len(circuit.logicals), input_rng) if random_inputs else None
         state, outcomes, _, _ = _execute_hybrid(circuit, compiled, config, trial, initial)
         corrected = _undo_byproduct(state, compiled.evaluate(outcomes))
-        reference, _ = run_unitary(circuit, initial)
-        fidelities.append(fidelity(corrected, _with_ancilla(reference)))
+        fidelities.append(fidelity(corrected, _unitary_state(circuit, initial)))
     return EquivalenceReport(
         trials=trials,
         min_fidelity=min(fidelities),

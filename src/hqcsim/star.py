@@ -6,14 +6,25 @@ with every participating qubit via CZ, then measuring the ancilla in the
 Bloch basis (theta, (-1)^kappa * pi/2).  The measurement outcome m leaves the
 Pauli byproduct (Z^{x n})^m on the participating qubits; the ancilla ends up
 disentangled and can be recycled.
+
+That construction (`build_star_state`, `multi_z_rotation`, `reset_to_zero`)
+is the reference.  On the register alone the measurement is the diagonal
+Kraus operator (Z^{x n})^m exp(-i theta Z^{x n}/2)/sqrt(2) with p(m) = 1/2
+for every input, and the azimuth (-1)^kappa * pi/2 cancels kappa.
+`fused_rotation` applies it as one diagonal multiply on the register, with no
+ancilla, and consumes the random draws the reference would: the measurement,
+then the ancilla reset's draw when both reset branches are possible.
 """
 from __future__ import annotations
 
+from cmath import exp
 from dataclasses import dataclass
+from math import cos, sin
 
 import numpy as np
 
 from .core import (
+    _MIN_PROBABILITY,
     BlochVector,
     MeasurementSpec,
     RandomSource,
@@ -32,6 +43,7 @@ __all__ = [
     "apply_multi_z_unitary",
     "build_star_state",
     "check_stabilizer",
+    "fused_rotation",
     "multi_z_rotation",
     "reset_to_zero",
     "rz_teleport_gadget",
@@ -154,25 +166,65 @@ def reset_to_zero(
     return post
 
 
-def apply_multi_z_unitary(state: StateVector, leaves: tuple[int, ...] | list[int], theta: float) -> StateVector:
-    """Reference unitary action of exp(-i theta Z^{x n}/2) as a diagonal."""
-    leaves = tuple(leaves)
+def _parity(state: StateVector, leaves: tuple[int, ...]) -> np.ndarray:
+    """Parity of each basis index's bits on `leaves`, i.e. 1 where Z^{x n} has
+    eigenvalue -1."""
     if not leaves:
         raise ValueError("rotation needs at least one qubit")
     if len(set(leaves)) != len(leaves):
         raise ValueError("leaves must be distinct")
-    mask = 0
+    indices = np.arange(state.amplitudes.size)
+    parity = np.zeros_like(indices)
     for leaf in leaves:
         if not 0 <= leaf < state.num_qubits:
             raise ValueError(f"qubit {leaf} out of range")
-        mask |= 1 << leaf
-    indices = np.arange(state.amplitudes.size)
-    ones = indices & mask
-    parity = np.zeros_like(indices)
-    while mask:
-        parity ^= ones & 1
-        ones >>= 1
-        mask >>= 1
+        parity ^= (indices >> leaf) & 1
+    return parity
+
+
+def fused_rotation(
+    state: StateVector,
+    leaves: tuple[int, ...] | list[int],
+    theta: float,
+    kappa: int,
+    rng: RandomSource,
+    forced: int | None = None,
+    theta_requested: float | None = None,
+) -> tuple[RotationRecord, StateVector]:
+    """Register-only `multi_z_rotation` followed by the ancilla reset.
+
+    Returns the input times (Z^{x n})^m exp(-i theta Z^{x n}/2), dropping the
+    reference's global phase, and draws from `rng` exactly as the reference
+    pair does: one draw for m unless it is forced, then one for the reset
+    when both cos^2(theta/2) and sin^2(theta/2) reach 1e-14.
+    """
+    leaves = tuple(leaves)
+    if kappa not in (0, 1):
+        raise ValueError("kappa must be 0 or 1")
+    odd = _parity(state, leaves)
+    if forced is None:
+        outcome = 0 if rng.random() < 0.5 else 1
+    elif forced in (0, 1):
+        outcome = forced
+    else:
+        raise ValueError("forced outcome must be 0 or 1")
+    half = theta / 2
+    if min(cos(half) ** 2, sin(half) ** 2) >= _MIN_PROBABILITY:
+        rng.random()  # the reset's outcome only sets a global phase
+    phases = np.array([exp(-1j * half), (-1) ** outcome * exp(1j * half)])
+    record = RotationRecord(
+        theta_requested=theta if theta_requested is None else theta_requested,
+        theta_executed=theta,
+        kappa=kappa,
+        outcome=outcome,
+        leaves=leaves,
+    )
+    return record, StateVector(state.num_qubits, state.amplitudes * phases[odd])
+
+
+def apply_multi_z_unitary(state: StateVector, leaves: tuple[int, ...] | list[int], theta: float) -> StateVector:
+    """Reference unitary action of exp(-i theta Z^{x n}/2) as a diagonal."""
+    parity = _parity(state, tuple(leaves))
     # Z^{x n} eigenvalue is (-1)^parity, so the phase is exp(-i theta/2 * (+/-1))
     phases = np.exp(-0.5j * theta * np.where(parity == 0, 1.0, -1.0))
     return StateVector(state.num_qubits, state.amplitudes * phases)

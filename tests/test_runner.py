@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hqcsim import tracker
+from hqcsim import core, runner, star, tracker
 from hqcsim.circuit_text import parse_circuit
 from hqcsim.circuits import (
     Circuit,
@@ -20,7 +20,7 @@ from hqcsim.circuits import (
     expand_lambda_z_steps,
     triple_control_z_circuit,
 )
-from hqcsim.core import make_basis_state
+from hqcsim.core import StateVector, make_basis_state
 from hqcsim.runner import (
     ExecutionConfig,
     corrected_histogram,
@@ -200,6 +200,46 @@ class TestCompiledFlow:
             assert [r.outcome for r in result.rotations] == forced
             assert result.flow == flow
             assert replay_flow(circuit, forced) == flow
+
+
+class TestHotPath:
+    def test_hybrid_runs_never_call_the_reference_construction(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("reference star construction on the hot path")
+
+        for owner, name in ((star, "multi_z_rotation"), (star, "reset_to_zero"), (star, "measure"), (core, "measure")):
+            monkeypatch.setattr(owner, name, refuse)
+        circuit = triple_control_z_circuit()
+        run_hqcm(circuit, ExecutionConfig(shots=3, seed=1, kappa="random", trace=True))
+        run_both(circuit, ExecutionConfig(mode="both", shots=3, seed=2))
+        assert verify_equivalence(circuit, trials=2, seed=3, random_inputs=True).passed
+
+    def test_verify_builds_no_distribution(self, monkeypatch):
+        def refuse(bits):
+            raise AssertionError("verify_equivalence built a bitstring distribution")
+
+        monkeypatch.setattr(runner, "_bits_to_string", refuse)
+        assert verify_equivalence(triple_control_z_circuit(), trials=2, seed=4, random_inputs=True).passed
+
+
+class TestInitialStateNorm:
+    @pytest.mark.parametrize("scale", [2.0, 0.0, 1 + 1e-6])
+    def test_non_unit_norm_rejected(self, scale):
+        circuit = Circuit(2, 0, [NamedGate(0, "H"), MultiZRot((0, 1), 0.7)])
+        initial = StateVector(2, scale * make_basis_state(2, [0, 1]).amplitudes)
+        for run in (
+            lambda: run_hqcm(circuit, ExecutionConfig(seed=0), initial),
+            lambda: run_both(circuit, ExecutionConfig(mode="both", seed=0), initial),
+            lambda: run_unitary(circuit, initial),
+        ):
+            with pytest.raises(ValueError, match="initial state must have norm 1, got "):
+                run()
+
+    def test_rounding_level_drift_accepted(self):
+        circuit = Circuit(2, 0, [NamedGate(0, "H"), MultiZRot((0, 1), 0.7)])
+        initial = StateVector(2, (1 + 1e-12) * make_basis_state(2, [0, 1]).amplitudes)
+        results, _, _, _ = run_both(circuit, ExecutionConfig(mode="both", shots=2, seed=0), initial)
+        assert min(r.fidelity for r in results) >= 1 - 1e-10
 
 
 class TestEquivalence:

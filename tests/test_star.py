@@ -18,6 +18,7 @@ from hqcsim.star import (
     apply_multi_z_unitary,
     build_star_state,
     check_stabilizer,
+    fused_rotation,
     multi_z_rotation,
     reset_to_zero,
     rz_teleport_gadget,
@@ -234,6 +235,86 @@ class TestMultiZUnitary:
             apply_multi_z_unitary(state, (0, 0), 0.1)
         with pytest.raises(ValueError):
             apply_multi_z_unitary(state, (7,), 0.1)
+
+
+def bit_loop_multi_z(state: StateVector, leaves, theta: float) -> StateVector:
+    """Per-bit loop reference for `apply_multi_z_unitary`: the shared parity
+    helper must reproduce its output bit for bit."""
+    mask = 0
+    for leaf in leaves:
+        mask |= 1 << leaf
+    indices = np.arange(state.amplitudes.size)
+    ones = indices & mask
+    parity = np.zeros_like(indices)
+    while mask:
+        parity ^= ones & 1
+        ones >>= 1
+        mask >>= 1
+    phases = np.exp(-0.5j * theta * np.where(parity == 0, 1.0, -1.0))
+    return StateVector(state.num_qubits, state.amplitudes * phases)
+
+
+def test_multi_z_unitary_bytes_match_bit_loop():
+    rng = np.random.default_rng(12)
+    for n in range(1, 13):
+        psi = oracles.random_state(n, rng)
+        for _ in range(3):
+            size = int(rng.integers(1, n + 1))
+            leaves = tuple(int(q) for q in rng.choice(n, size=size, replace=False))
+            theta = float(rng.uniform(-2 * np.pi, 2 * np.pi))
+            out = apply_multi_z_unitary(StateVector(n, psi), leaves, theta)
+            assert np.array_equal(out.amplitudes, bit_loop_multi_z(StateVector(n, psi), leaves, theta).amplitudes)
+
+
+class TestFusedRotation:
+    # pi - 1e-6 leaves both ancilla reset branches possible (one reset draw);
+    # pi - 1e-8 pushes cos^2(theta/2) below 1e-14 (no reset draw)
+    THETAS = (0.0, np.pi, -np.pi, 2 * np.pi, np.pi - 1e-6, np.pi - 1e-8, None)
+
+    def test_matches_reference_rotation_by_rotation(self):
+        rng = np.random.default_rng(31)
+        case = 0
+        for _ in range(8):
+            for theta in self.THETAS:
+                for kappa in (0, 1):
+                    for forced in (None, 0, 1):
+                        n = int(rng.integers(1, 7))
+                        size = int(rng.integers(1, n + 1))
+                        leaves = tuple(int(q) for q in rng.choice(n, size=size, replace=False))
+                        angle = float(rng.uniform(-2 * np.pi, 2 * np.pi)) if theta is None else theta
+                        psi = oracles.random_state(n, rng)
+                        ref_rng, fused_rng = RandomSource(41, case), RandomSource(41, case)
+                        ref_record, ref = multi_z_rotation(
+                            embed_with_top_ancilla(psi), leaves, angle, AncillaPrep(kappa), n, ref_rng, forced=forced
+                        )
+                        ref = reset_to_zero(ref, n, ref_rng)
+                        record, out = fused_rotation(StateVector(n, psi), leaves, angle, kappa, fused_rng, forced=forced)
+                        assert record == ref_record, case
+                        assert ref_rng.random() == fused_rng.random(), case
+                        register = StateVector(n, ref.amplitudes[: 2**n])
+                        assert fidelity(out, register) >= 1 - 1e-12, case
+                        case += 1
+        assert case >= 300
+
+    def test_outcome_byproduct_and_requested_angle(self):
+        state = make_basis_state(2, [1, 0])
+        record, out = fused_rotation(state, (0, 1), 0.8, 1, RandomSource(0, 0), forced=1, theta_requested=-0.8)
+        assert (record.outcome, record.kappa, record.theta_requested, record.theta_executed) == (1, 1, -0.8, 0.8)
+        # odd parity: (-1)^m e^{+i theta/2}
+        assert abs(out.amplitudes[1] + np.exp(0.4j)) < 1e-12
+
+    def test_validation(self):
+        state = make_basis_state(2, [0, 0])
+        with pytest.raises(ValueError, match="at least one qubit"):
+            fused_rotation(state, (), 0.1, 0, RandomSource(0, 0))
+        with pytest.raises(ValueError, match="distinct"):
+            fused_rotation(state, (1, 1), 0.1, 0, RandomSource(0, 0))
+        with pytest.raises(ValueError, match="out of range"):
+            fused_rotation(state, (2,), 0.1, 0, RandomSource(0, 0))
+        with pytest.raises(ValueError, match="kappa"):
+            fused_rotation(state, (0,), 0.1, 2, RandomSource(0, 0))
+        with pytest.raises(ValueError, match="forced"):
+            fused_rotation(state, (0,), 0.1, 0, RandomSource(0, 0), forced=2)
 
 
 class TestTeleportGadget:
