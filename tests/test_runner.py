@@ -1,6 +1,8 @@
 """Executor tests: hybrid vs unitary runs, traces, equivalence, JSON output."""
 import json
 import os
+import platform
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -220,6 +222,16 @@ class TestHotPath:
 
         monkeypatch.setattr(runner, "_bits_to_string", refuse)
         assert verify_equivalence(triple_control_z_circuit(), trials=2, seed=4, random_inputs=True).passed
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap settings are glibc's")
+    def test_wide_trials_reuse_heap_memory(self):
+        # Each gate frees a 256 KiB state; with glibc's default heap trimming
+        # 20 trials took about 19 000 minor page faults, each paid in the kernel.
+        circuit = random_circuit(14, 12, np.random.default_rng(3))
+        verify_equivalence(circuit, trials=2, random_inputs=True)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert verify_equivalence(circuit, trials=20, random_inputs=True).passed
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 20 * 20
 
 
 class TestInitialStateNorm:
