@@ -127,8 +127,8 @@ def main(argv: list[str] | None = None) -> int:
             results = run_hqcm(circuit, ExecutionConfig(symbolic=True, seed=_default_seed()))
             sys.stdout.write(results[0].trace.format_text())
             return 0
-    except (CircuitParseError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CircuitParseError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")
 

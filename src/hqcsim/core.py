@@ -5,6 +5,10 @@ Conventions used throughout the package:
 
 - Endianness: qubit ``j`` addresses bit ``j`` of the basis index, with qubit 0
   the least significant bit, i.e. basis index ``i = sum_j b_j * 2**j``.
+  Only this module turns that into array layout: every state kernel and
+  `star`'s parity masks address qubit q through `_bit_view`, a (high bits,
+  bit q, low bits) view of the amplitudes, and `embed_logical` and
+  `logical_marginal` place a circuit's logical qubits among its work qubits.
 - Global phase is never normalised away; states are compared with `fidelity`.
 - Every public operation returns a fresh, normalised StateVector; the input is
   never mutated.
@@ -156,16 +160,28 @@ def _check_qubit(state: StateVector, q: int) -> None:
         raise ValueError(f"qubit {q} out of range for {state.num_qubits}-qubit state")
 
 
+def _bit_view(amps: np.ndarray, q: int) -> np.ndarray:
+    """`amps` as (high bits, bit q, low bits): [h, b, l] is the amplitude of
+    index (h << (q + 1)) | (b << q) | l.  Callers write only into views of
+    arrays they allocated, which are contiguous, so no write lands in a copy."""
+    return amps.reshape(-1, 2, 1 << q)
+
+
+def _matmul_on_bit(matrix: np.ndarray, amps: np.ndarray, q: int) -> np.ndarray:
+    """`matrix` (k x 2) applied to qubit q's axis of `_bit_view(amps, q)`, as a
+    (high, k, low) array.  numpy's matmul makes one call per batch, so unless
+    the high axis is the shorter one, bit q is moved to the front first and
+    the product is one call over all the other bits."""
+    view = _bit_view(amps, q)
+    high, _, low = view.shape
+    if high < low:
+        return np.matmul(matrix, view)
+    front = np.matmul(matrix, view.transpose(1, 0, 2).reshape(2, -1))
+    return front.reshape(-1, high, low).transpose(1, 0, 2)
+
+
 def _apply_matrix(state: StateVector, q: int, matrix: np.ndarray) -> StateVector:
-    # numpy's reshape puts the highest qubit on axis 0, so qubit q lives on
-    # axis (n - 1 - q) under the little-endian index convention.
-    n = state.num_qubits
-    axis = n - 1 - q
-    tensor = state.amplitudes.reshape((2,) * n)
-    tensor = np.moveaxis(tensor, axis, 0)
-    tensor = np.tensordot(matrix, tensor, axes=([1], [0]))
-    tensor = np.moveaxis(tensor, 0, axis)
-    return StateVector(n, np.ascontiguousarray(tensor).reshape(-1))
+    return StateVector(state.num_qubits, _matmul_on_bit(matrix, state.amplitudes, q).reshape(-1))
 
 
 def axis_angle_matrix(axis: BlochVector, alpha: float) -> np.ndarray:
@@ -211,10 +227,10 @@ def apply_cz(state: StateVector, a: int, b: int) -> StateVector:
     _check_qubit(state, b)
     if a == b:
         raise ValueError("CZ needs two distinct qubits")
-    indices = np.arange(state.amplitudes.size)
-    both_one = ((indices >> a) & 1) & ((indices >> b) & 1)
+    lo, hi = sorted((a, b))
     amps = state.amplitudes.copy()
-    amps[both_one == 1] *= -1
+    # _bit_view for hi, with its low axis split again at lo
+    amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)[:, 1, :, 1, :] *= -1
     return StateVector(state.num_qubits, amps)
 
 
@@ -250,13 +266,10 @@ def measure(
     forced branch with probability below 1e-14 is rejected.
     """
     _check_qubit(state, spec.target)
-    n = state.num_qubits
-    axis = n - 1 - spec.target
     up, down = basis_kets(spec.basis)
 
-    tensor = np.moveaxis(state.amplitudes.reshape((2,) * n), axis, 0).reshape(2, -1)
-    branch0 = up.conj() @ tensor
-    branch1 = down.conj() @ tensor
+    branches = _matmul_on_bit(np.array([up, down]).conj(), state.amplitudes, spec.target)
+    branch0, branch1 = branches[:, 0, :], branches[:, 1, :]
     p0 = float(np.real(np.vdot(branch0, branch0)))
     p1 = float(np.real(np.vdot(branch1, branch1)))
     if p0 < _MIN_PROBABILITY and p1 < _MIN_PROBABILITY:
@@ -276,9 +289,23 @@ def measure(
         outcome = 0 if rng.random() < p0 / (p0 + p1) else 1
 
     ket, branch, p = (up, branch0, p0) if outcome == 0 else (down, branch1, p1)
-    collapsed = np.outer(ket, branch / sqrt(p))
-    collapsed = np.moveaxis(collapsed.reshape((2,) * n), 0, axis)
-    return outcome, StateVector(n, np.ascontiguousarray(collapsed).reshape(-1))
+    collapsed = ket[:, None] * (branch / sqrt(p))[:, None, :]
+    return outcome, StateVector(state.num_qubits, collapsed.reshape(-1))
+
+
+def embed_logical(psi: np.ndarray, num_qubits: int, logicals: tuple[int, ...]) -> StateVector:
+    """Register state holding `psi` on the ascending qubits `logicals` (bit
+    pos of psi's index on qubit logicals[pos]) and |+> on every other qubit."""
+    shape = [2 if q in logicals else 1 for q in reversed(range(num_qubits))]
+    amps = np.broadcast_to(psi.reshape(shape), (2,) * num_qubits) / sqrt(2 ** (num_qubits - len(logicals)))
+    return StateVector(num_qubits, amps.reshape(-1))
+
+
+def logical_marginal(probs: np.ndarray, num_qubits: int, logicals: tuple[int, ...]) -> np.ndarray:
+    """Register probabilities summed over every qubit outside the ascending
+    `logicals`, indexed like `embed_logical`'s psi."""
+    works = tuple(num_qubits - 1 - q for q in range(num_qubits) if q not in logicals)
+    return probs.reshape((2,) * num_qubits).sum(axis=works).reshape(-1)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

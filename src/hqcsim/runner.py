@@ -15,13 +15,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cache
-from math import sqrt
 
 import numpy as np
 
 from . import star, tracker
 from .circuits import Circuit, CzGate, Gate, MultiZRot, NamedGate, SingleQubit
 from .core import BlochVector, RandomSource, StateVector, apply_cz, apply_named, apply_single_qubit, fidelity
+from .core import embed_logical, logical_marginal, make_basis_state
 from .star import RotationRecord
 from .tracker import Gf2Expr, InfoFlowVector, render_component, render_flow
 
@@ -171,12 +171,9 @@ class ShotResult:
 
 def _embed_logical(circuit: Circuit, initial_logical: StateVector | None) -> StateVector:
     """Full-register state: logical amplitudes in place, works in |+>."""
-    n = circuit.num_qubits
     logicals = circuit.logicals
-    works = circuit.works
     if initial_logical is None:
-        psi = np.zeros(2 ** len(logicals), dtype=complex)
-        psi[0] = 1.0
+        psi = make_basis_state(len(logicals), [0] * len(logicals)).amplitudes
     else:
         if initial_logical.num_qubits != len(logicals):
             raise ValueError(
@@ -186,24 +183,17 @@ def _embed_logical(circuit: Circuit, initial_logical: StateVector | None) -> Sta
         norm = float(np.linalg.norm(psi))
         if abs(norm - 1.0) > 1e-8:
             raise ValueError(f"initial state must have norm 1, got {norm:.12g}")
-    return StateVector(n, psi[_logical_key(circuit, n)] / sqrt(2 ** len(works)))
-
-
-def _logical_key(circuit: Circuit, num_qubits: int) -> np.ndarray:
-    indices = np.arange(2**num_qubits)
-    key = np.zeros(2**num_qubits, dtype=np.int64)
-    for pos, q in enumerate(circuit.logicals):
-        key |= ((indices >> q) & 1) << pos
-    return key
+    return embed_logical(psi, circuit.num_qubits, logicals)
 
 
 def _bits_to_string(bits) -> str:
     return "".join(str(b) for b in bits)
 
 
-def _unitary_state(circuit: Circuit, initial_logical: StateVector | None) -> StateVector:
-    """The register state after every gate runs as a unitary."""
-    state = _embed_logical(circuit, initial_logical)
+def _unitary_state(circuit: Circuit, initial: StateVector) -> StateVector:
+    """The register state after every gate runs as a unitary on the embedded
+    input `initial`."""
+    state = initial
     for gate in circuit.gates:
         if isinstance(gate, NamedGate):
             state = apply_named(state, gate.q, gate.name, gate.phi)
@@ -218,6 +208,15 @@ def _unitary_state(circuit: Circuit, initial_logical: StateVector | None) -> Sta
     return state
 
 
+def _distribution(circuit: Circuit, state: StateVector, include_work: bool = False) -> dict[str, float]:
+    """Computational basis distribution over the logical qubits, or over the
+    whole register with include_work; keys list qubits in ascending order."""
+    reported = tuple(range(circuit.num_qubits)) if include_work else circuit.logicals
+    marginal = logical_marginal(state.probabilities(), circuit.num_qubits, reported)
+    width = len(reported)
+    return {_bits_to_string([(k >> pos) & 1 for pos in range(width)]): float(p) for k, p in enumerate(marginal)}
+
+
 def run_unitary(
     circuit: Circuit,
     initial_logical: StateVector | None = None,
@@ -230,20 +229,8 @@ def run_unitary(
     include_work is set); bitstring keys list qubits in ascending index order.
     """
     circuit.validate()
-    state = _unitary_state(circuit, initial_logical)
-    probs = state.probabilities()
-    if include_work:
-        keys = np.arange(probs.size)
-        width = circuit.num_qubits
-    else:
-        keys = _logical_key(circuit, circuit.num_qubits)
-        width = len(circuit.logicals)
-    marginal = np.bincount(keys, weights=probs, minlength=2**width)
-    distribution = {
-        _bits_to_string([(k >> pos) & 1 for pos in range(width)]): float(p)
-        for k, p in enumerate(marginal)
-    }
-    return state, distribution
+    state = _unitary_state(circuit, _embed_logical(circuit, initial_logical))
+    return state, _distribution(circuit, state, include_work)
 
 
 def _bit(component: int, outcomes: int) -> int:
@@ -343,21 +330,22 @@ def _execute_hybrid(
     compiled: _CompiledFlow,
     config: ExecutionConfig,
     shot: int,
-    initial_logical: StateVector | None,
+    initial: StateVector,
 ):
-    """One hybrid trajectory without the final readout.
+    """One hybrid trajectory from the embedded input `initial`, without the
+    final readout.
 
     Returns (register state, outcome bitset, rotation records, and the shot's
     live random stream for any follow-up draws).
     """
     rng = RandomSource(config.seed, shot)
-    state = _embed_logical(circuit, initial_logical)
+    state = initial
     outcomes = 0
     records: list[RotationRecord] = []
     for gate, reads in compiled.plan:
         if isinstance(gate, NamedGate):
             if gate.name == "RZ":  # rotation path, executed with a sign-adapted angle
-                state = apply_named(state, gate.q, "RZ", (-1) ** _bit(reads, outcomes) * gate.phi)
+                state = apply_named(state, gate.q, "RZ", tracker.adapt_angle(_bit(reads, outcomes), gate.phi))
             else:
                 state = apply_named(state, gate.q, gate.name)
         elif isinstance(gate, SingleQubit):
@@ -378,7 +366,7 @@ def _execute_hybrid(
             record, state = star.fused_rotation(
                 state,
                 gate.leaves,
-                (-1) ** _bit(reads, outcomes) * gate.theta,
+                tracker.adapt_angle(_bit(reads, outcomes), gate.theta),
                 kappa,
                 rng,
                 forced=forced,
@@ -392,16 +380,17 @@ def _execute_hybrid(
 def _run_shots(
     circuit: Circuit,
     config: ExecutionConfig,
-    initial_logical: StateVector | None,
+    initial: StateVector,
     reference: StateVector | None = None,
 ) -> list[ShotResult]:
-    """Every shot of a validated run, read out and corrected; with a
-    reference state each shot's fidelity is filled in too."""
+    """Every shot of a validated run from the embedded input `initial`, read
+    out and corrected; with a reference state each shot's fidelity is filled
+    in too."""
     compiled = _compile_flow(circuit)
     reported = circuit.logicals if not config.include_work_readout else tuple(range(circuit.num_qubits))
     results = []
     for shot in range(config.shots):
-        state, outcomes, records, rng = _execute_hybrid(circuit, compiled, config, shot, initial_logical)
+        state, outcomes, records, rng = _execute_hybrid(circuit, compiled, config, shot, initial)
         flow = compiled.evaluate(outcomes)
         index = rng.sample_index(state.probabilities())
         raw_full = [(index >> q) & 1 for q in range(circuit.num_qubits)]
@@ -432,7 +421,7 @@ def run_hqcm(
     circuit.validate()
     config = config or ExecutionConfig()
     config.validate(circuit)
-    return _run_shots(circuit, config, initial_logical)
+    return _run_shots(circuit, config, _embed_logical(circuit, initial_logical))
 
 
 def corrected_histogram(results: list[ShotResult]) -> dict[str, int]:
@@ -461,8 +450,10 @@ def run_both(
     """
     circuit.validate()
     config.validate(circuit)
-    unitary_state, distribution = run_unitary(circuit, initial_logical)
-    results = _run_shots(circuit, config, initial_logical, reference=unitary_state)
+    initial = _embed_logical(circuit, initial_logical)
+    unitary_state = _unitary_state(circuit, initial)
+    distribution = _distribution(circuit, unitary_state)
+    results = _run_shots(circuit, config, initial, reference=unitary_state)
     shots = max(1, len(results))
     empirical = {k: v / shots for k, v in corrected_histogram(results).items()}
     tv = total_variation(empirical, distribution)
@@ -509,10 +500,13 @@ def verify_equivalence(
     fidelities = []
     config = ExecutionConfig(seed=seed)
     for trial in range(trials):
-        initial = _random_state(len(circuit.logicals), input_rng) if random_inputs else None
+        if random_inputs or trial == 0:
+            logical = _random_state(len(circuit.logicals), input_rng) if random_inputs else None
+            initial = _embed_logical(circuit, logical)
+            reference = _unitary_state(circuit, initial)
         state, outcomes, _, _ = _execute_hybrid(circuit, compiled, config, trial, initial)
         corrected = _undo_byproduct(state, compiled.evaluate(outcomes))
-        fidelities.append(fidelity(corrected, _unitary_state(circuit, initial)))
+        fidelities.append(fidelity(corrected, reference))
     return EquivalenceReport(
         trials=trials,
         min_fidelity=min(fidelities),

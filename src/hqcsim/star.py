@@ -25,6 +25,8 @@ import numpy as np
 
 from .core import (
     _MIN_PROBABILITY,
+    _bit_view,
+    _matmul_on_bit,
     BlochVector,
     MeasurementSpec,
     RandomSource,
@@ -89,8 +91,7 @@ class RotationRecord:
 
 
 def _require_ancilla_zero(state: StateVector, ancilla: int) -> None:
-    mask = (np.arange(state.amplitudes.size) >> ancilla) & 1
-    weight = float(np.sum(np.abs(state.amplitudes[mask == 1]) ** 2))
+    weight = float(np.sum(np.abs(_bit_view(state.amplitudes, ancilla)[:, 1, :]) ** 2))
     if weight > 1e-12:
         raise ValueError(f"ancilla qubit {ancilla} is not in |0> (weight {weight:.3e} on |1>)")
 
@@ -166,20 +167,19 @@ def reset_to_zero(
     return post
 
 
-def _parity(state: StateVector, leaves: tuple[int, ...]) -> np.ndarray:
-    """Parity of each basis index's bits on `leaves`, i.e. 1 where Z^{x n} has
-    eigenvalue -1."""
+def _apply_parity_phases(state: StateVector, leaves: tuple[int, ...], phases: np.ndarray) -> StateVector:
+    """Each amplitude times phases[parity of its index's bits on `leaves`];
+    parity 1 is where Z^{x n} has eigenvalue -1."""
     if not leaves:
         raise ValueError("rotation needs at least one qubit")
     if len(set(leaves)) != len(leaves):
         raise ValueError("leaves must be distinct")
-    indices = np.arange(state.amplitudes.size)
-    parity = np.zeros_like(indices)
+    parity = np.zeros(state.amplitudes.size, dtype=np.uint8)
     for leaf in leaves:
         if not 0 <= leaf < state.num_qubits:
             raise ValueError(f"qubit {leaf} out of range")
-        parity ^= (indices >> leaf) & 1
-    return parity
+        _bit_view(parity, leaf)[:, 1, :] ^= 1
+    return StateVector(state.num_qubits, state.amplitudes * phases.take(parity))
 
 
 def fused_rotation(
@@ -201,7 +201,6 @@ def fused_rotation(
     leaves = tuple(leaves)
     if kappa not in (0, 1):
         raise ValueError("kappa must be 0 or 1")
-    odd = _parity(state, leaves)
     if forced is None:
         outcome = 0 if rng.random() < 0.5 else 1
     elif forced in (0, 1):
@@ -219,15 +218,14 @@ def fused_rotation(
         outcome=outcome,
         leaves=leaves,
     )
-    return record, StateVector(state.num_qubits, state.amplitudes * phases[odd])
+    return record, _apply_parity_phases(state, leaves, phases)
 
 
 def apply_multi_z_unitary(state: StateVector, leaves: tuple[int, ...] | list[int], theta: float) -> StateVector:
     """Reference unitary action of exp(-i theta Z^{x n}/2) as a diagonal."""
-    parity = _parity(state, tuple(leaves))
     # Z^{x n} eigenvalue is (-1)^parity, so the phase is exp(-i theta/2 * (+/-1))
-    phases = np.exp(-0.5j * theta * np.where(parity == 0, 1.0, -1.0))
-    return StateVector(state.num_qubits, state.amplitudes * phases)
+    phases = np.exp(-0.5j * theta * np.array([1.0, -1.0]))
+    return _apply_parity_phases(state, tuple(leaves), phases)
 
 
 def rz_teleport_gadget(
@@ -246,18 +244,12 @@ def rz_teleport_gadget(
     if input_state.num_qubits != 1:
         raise ValueError("gadget takes a one-qubit input state")
     # register: qubit 0 = input, qubit 1 = ancilla (starts in |0>)
-    amps = np.zeros(4, dtype=complex)
-    amps[0] = input_state.amplitudes[0]
-    amps[1] = input_state.amplitudes[1]
-    pair = StateVector(2, amps)
+    pair = StateVector(2, np.concatenate([input_state.amplitudes, np.zeros(2)]))
     pair = build_star_state(pair, StarGraph(ancilla=1, leaves=(0,)), prep)
 
-    outcome, post = measure(pair, MeasurementSpec(0, BlochVector(np.pi / 2, -phi)), rng, forced=forced)
-    # project the measured qubit onto its known post-measurement ket to pull
-    # out the ancilla's pure state
-    up, down = basis_kets(BlochVector(np.pi / 2, -phi))
-    ket = up if outcome == 0 else down
-    tensor = post.amplitudes.reshape(2, 2)  # [ancilla bit, input bit]
-    reduced = tensor @ ket.conj()
-    norm = np.linalg.norm(reduced)
-    return outcome, StateVector(1, reduced / norm)
+    basis = BlochVector(np.pi / 2, -phi)
+    outcome, post = measure(pair, MeasurementSpec(0, basis), rng, forced=forced)
+    # the measured qubit is left in its outcome ket; projecting onto that ket
+    # leaves the ancilla's pure state, already normalised by `measure`
+    ket = basis_kets(basis)[outcome]
+    return outcome, StateVector(1, _matmul_on_bit(ket.conj()[None, :], post.amplitudes, 0).reshape(-1))

@@ -22,6 +22,7 @@ __all__ = [
     "InfoFlowVector",
     "PropagationMatrix",
     "absorb_rotation_outcome",
+    "adapt_angle",
     "adapt_axis",
     "adapt_azimuth",
     "adapt_euler",
@@ -251,8 +252,14 @@ def adapt_rotation_angle(flow: InfoFlowVector, leaves: Sequence[int], theta: flo
     """
     parity = angle_parity(flow, leaves)
     if isinstance(parity, int):
-        return -theta if parity & 1 else theta
+        return adapt_angle(parity, theta)
     return theta, parity
+
+
+def adapt_angle(parity: int, theta: float) -> float:
+    """Angle a Z rotation must execute after its qubits' X byproducts have
+    the given parity: (-1)^parity * theta."""
+    return -theta if parity & 1 else theta
 
 
 def adapt_axis(x: int, z: int, axis: BlochVector) -> BlochVector:
@@ -271,9 +278,7 @@ def adapt_axis(x: int, z: int, axis: BlochVector) -> BlochVector:
 def adapt_euler(x: int, z: int, angles: tuple[float, float, float]) -> tuple[float, float, float]:
     """Euler angles (a, b, g) -> ((-1)^x a, (-1)^z b, (-1)^x g)."""
     a, b, g = angles
-    sx = (-1) ** (x & 1)
-    sz = (-1) ** (z & 1)
-    return (sx * a, sz * b, sx * g)
+    return (adapt_angle(x, a), adapt_angle(z, b), adapt_angle(x, g))
 
 
 def adapt_azimuth(kappa: int) -> float:

@@ -131,6 +131,31 @@ def gates_dense(gates, n: int) -> np.ndarray:
     return circuit_dense(Circuit(n, 0, list(gates)))
 
 
+def collapse_dense(psi: np.ndarray, q: int, ket: np.ndarray, n: int) -> np.ndarray:
+    """Normalised projection of psi onto `ket` on qubit q."""
+    projected = op_on(np.outer(ket, ket.conj()), q, n) @ psi
+    return projected / np.linalg.norm(projected)
+
+
+def embed_loop(psi: np.ndarray, n: int, logicals) -> np.ndarray:
+    """Register amplitudes with bit pos of psi's index on qubit logicals[pos]
+    and every other qubit in |+>, one basis index at a time."""
+    works = n - len(logicals)
+    amps = np.empty(2**n, dtype=complex)
+    for i in range(2**n):
+        k = sum(((i >> q) & 1) << pos for pos, q in enumerate(logicals))
+        amps[i] = psi[k] / sqrt(2**works)
+    return amps
+
+
+def marginal_loop(probs: np.ndarray, n: int, logicals) -> np.ndarray:
+    """Probabilities summed over every qubit outside `logicals`."""
+    out = np.zeros(2 ** len(logicals))
+    for i in range(2**n):
+        out[sum(((i >> q) & 1) << pos for pos, q in enumerate(logicals))] += probs[i]
+    return out
+
+
 def random_state(n: int, rng) -> np.ndarray:
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return amps / np.linalg.norm(amps)

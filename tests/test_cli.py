@@ -97,6 +97,37 @@ class TestRunCommand:
         assert capsys.readouterr().err == "error: line 2: angle must be finite\n"
 
 
+@pytest.mark.parametrize(
+    "entry, args",
+    [
+        ("run_hqcm", ["run", "{path}"]),
+        ("run_both", ["run", "{path}", "--mode", "both"]),
+        ("run_unitary", ["run", "{path}", "--mode", "unitary"]),
+        ("run_hqcm", ["grover", "--n", "3", "--marked", "1"]),
+        ("verify_equivalence", ["verify", "{path}"]),
+    ],
+)
+def test_out_of_memory_exits_one(monkeypatch, tmp_path, capsys, entry, args):
+    # stands in for a register too large to allocate, e.g. `qubits 40`;
+    # no test allocates such a state
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 16.0 TiB for an array with shape (1099511627776,)")
+
+    monkeypatch.setattr(cli, entry, out_of_memory)
+    path = write_circuit(tmp_path, "qubits 2\nH 1\n")
+    assert cli.main([a.format(path=path) for a in args]) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 16.0 TiB for an array with shape (1099511627776,)\n"
+
+
+def test_bare_memory_error_still_names_itself(monkeypatch, tmp_path, capsys):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_hqcm", out_of_memory)
+    assert cli.main(["run", write_circuit(tmp_path, "qubits 1\nH 1\n")]) == 1
+    assert capsys.readouterr().err == "error: MemoryError\n"
+
+
 class TestGroverCommand:
     def test_histogram_concentrates(self, tmp_path, capsys):
         assert cli.main(["grover", "--n", "2", "--marked", "3", "--shots", "100", "--seed", "7"]) == 0

@@ -1,4 +1,6 @@
 """Statevector engine tests: gates, measurement, fidelity, randomness."""
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,10 @@ from hqcsim.core import (
     apply_cz,
     apply_named,
     apply_single_qubit,
+    basis_kets,
+    embed_logical,
     fidelity,
+    logical_marginal,
     make_basis_state,
     measure,
     measurement_projectors,
@@ -211,6 +216,73 @@ class TestMeasure:
         dead = StateVector(1, np.zeros(2, dtype=complex))
         with pytest.raises(ArithmeticError):
             measure(dead, MeasurementSpec(0, BlochVector(0, 0)), RandomSource(0, 0))
+
+
+class TestEveryQubitPosition:
+    """Each kernel against the dense oracles at every qubit, or ordered qubit
+    pair, of 1- to 7-qubit states, so no stride of the index layout is missed."""
+
+    @staticmethod
+    def _state(n: int, seed: int) -> tuple[StateVector, np.ndarray]:
+        amps = oracles.random_state(n, np.random.default_rng(seed))
+        return StateVector(n, amps), amps.copy()
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_single_qubit_gates(self, n):
+        state, before = self._state(n, 100 + n)
+        rng = np.random.default_rng(n)
+        for q in range(n):
+            phi = rng.uniform(-np.pi, np.pi)
+            theta, axis_phi, alpha = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi)
+            cases = [
+                (apply_named(state, q, "X"), oracles.X),
+                (apply_named(state, q, "Z"), oracles.Z),
+                (apply_named(state, q, "H"), oracles.H),
+                (apply_named(state, q, "RZ", phi), oracles.rz(phi)),
+                (apply_single_qubit(state, q, BlochVector(theta, axis_phi), alpha),
+                 oracles.axis_rotation(theta, axis_phi, alpha)),
+            ]
+            for out, matrix in cases:
+                np.testing.assert_allclose(out.amplitudes, oracles.op_on(matrix, q, n) @ before, atol=1e-12)
+        np.testing.assert_array_equal(state.amplitudes, before)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_cz(self, n):
+        state, before = self._state(n, 200 + n)
+        for a in range(n):
+            for b in range(n):
+                if a != b:
+                    out = apply_cz(state, a, b)
+                    np.testing.assert_array_equal(out.amplitudes, oracles.cz_dense(a, b, n) @ before)
+        np.testing.assert_array_equal(state.amplitudes, before)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_measure_collapses_onto_forced_branch(self, n):
+        state, before = self._state(n, 300 + n)
+        rng = np.random.default_rng(n)
+        for q in range(n):
+            basis = BlochVector(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
+            for forced, ket in enumerate(basis_kets(basis)):
+                outcome, post = measure(state, MeasurementSpec(q, basis), RandomSource(0, 0), forced=forced)
+                assert outcome == forced
+                np.testing.assert_allclose(post.amplitudes, oracles.collapse_dense(before, q, ket, n), atol=1e-12)
+        np.testing.assert_array_equal(state.amplitudes, before)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_logical_embedding_and_marginal(self, n):
+        # every placement of the work qubits: at the front, at the end, in
+        # the middle, and all mixtures
+        rng = np.random.default_rng(400 + n)
+        for k in range(1, n + 1):
+            for logicals in combinations(range(n), k):
+                psi = oracles.random_state(k, rng)
+                embedded = embed_logical(psi, n, logicals)
+                assert embedded.num_qubits == n
+                np.testing.assert_array_equal(embedded.amplitudes, oracles.embed_loop(psi, n, logicals))
+                probs = oracles.random_state(n, rng).real ** 2
+                np.testing.assert_allclose(
+                    logical_marginal(probs, n, logicals), oracles.marginal_loop(probs, n, logicals), atol=1e-15
+                )
 
 
 class TestFidelity:

@@ -223,6 +223,42 @@ class TestHotPath:
         monkeypatch.setattr(runner, "_bits_to_string", refuse)
         assert verify_equivalence(triple_control_z_circuit(), trials=2, seed=4, random_inputs=True).passed
 
+    def test_verify_computes_a_fixed_input_reference_once(self, monkeypatch):
+        calls = []
+        unitary_state = runner._unitary_state
+        monkeypatch.setattr(runner, "_unitary_state", lambda *args: calls.append(1) or unitary_state(*args))
+        assert verify_equivalence(triple_control_z_circuit(), trials=20).passed
+        assert len(calls) == 1
+        assert verify_equivalence(triple_control_z_circuit(), trials=3, random_inputs=True).passed
+        assert len(calls) == 1 + 3
+
+    def test_input_embedded_once_per_run_or_random_input(self, monkeypatch):
+        calls = []
+        embed = runner.embed_logical
+        monkeypatch.setattr(runner, "embed_logical", lambda *args: calls.append(1) or embed(*args))
+        circuit = triple_control_z_circuit()
+        expected = 0
+        for run, embeddings in (
+            (lambda: run_hqcm(circuit, ExecutionConfig(shots=5, seed=1)), 1),
+            (lambda: run_both(circuit, ExecutionConfig(mode="both", shots=5, seed=1)), 1),
+            (lambda: run_unitary(circuit), 1),
+            (lambda: verify_equivalence(circuit, trials=4), 1),
+            (lambda: verify_equivalence(circuit, trials=4, random_inputs=True), 4),
+        ):
+            run()
+            expected += embeddings
+            assert len(calls) == expected
+
+    def test_angle_signs_come_from_the_tracker_rule(self, monkeypatch):
+        calls = []
+        adapt_angle = tracker.adapt_angle
+        monkeypatch.setattr(tracker, "adapt_angle", lambda *args: calls.append(args) or adapt_angle(*args))
+        circuit = Circuit(2, 0, [NamedGate(0, "H"), NamedGate(0, "RZ", 0.3), MultiZRot((0, 1), 0.7),
+                                 NamedGate(1, "RZ", -0.2)])
+        run_hqcm(circuit, ExecutionConfig(shots=3, seed=5))
+        assert len(calls) == 3 * 3
+        assert {theta for _, theta in calls} == {0.3, 0.7, -0.2}
+
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap settings are glibc's")
     def test_wide_trials_reuse_heap_memory(self):
         # Each gate frees a 256 KiB state; with glibc's default heap trimming

@@ -9,6 +9,7 @@ from hqcsim.tracker import (
     InfoFlowVector,
     absorb_rotation_outcome,
     adapt_axis,
+    adapt_angle,
     adapt_azimuth,
     adapt_euler,
     adapt_rotation_angle,
@@ -240,6 +241,12 @@ class TestAngleAdaptation:
         flow = init_flow(5)
         flow.x[0] = 1
         assert adapt_rotation_angle(flow, (2, 3), 0.7) == 0.7
+
+    def test_angle_rule(self):
+        assert adapt_angle(0, 0.7) == 0.7 and adapt_angle(1, 0.7) == -0.7
+        assert adapt_angle(2, -0.7) == -0.7 and adapt_angle(3, -0.7) == 0.7
+        # the sign of a zero angle follows the rule too, so JSON writes -0.0
+        assert str(adapt_angle(1, 0.0)) == "-0.0"
 
     def test_symbolic_returns_parity(self):
         flow = init_flow(5)
