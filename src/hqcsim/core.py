@@ -119,9 +119,14 @@ class RandomSource:
 
     def sample_index(self, probabilities: np.ndarray) -> int:
         """Draw an index from a probability vector using a single uniform."""
-        cumulative = np.cumsum(probabilities)
-        u = self.random() * cumulative[-1]
-        return int(np.searchsorted(cumulative, u, side="right"))
+        return int(pick_index(np.cumsum(probabilities), self.random()))
+
+
+def pick_index(cumulative: np.ndarray, u):
+    """The index that the uniform u in [0, 1) (or each entry of an array of
+    them) selects from a cumulative sum of probabilities, which need not end
+    exactly at 1."""
+    return np.searchsorted(cumulative, u * cumulative[-1], side="right")
 
 
 @dataclass

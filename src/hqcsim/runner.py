@@ -2,13 +2,18 @@
 Clifford frame) runner, the pure-unitary reference runner, the per-step trace
 table, and the equivalence harness.
 
-Hybrid execution holds the circuit register only, with no appended ancilla:
-each multi-qubit rotation runs as `star.fused_rotation`, the star
-measurement's action on the register.  Per shot the random draws happen in a
-fixed order (per rotation: an optional kappa bit, the measurement, and a
-reset draw when both ancilla reset branches are possible; then one readout
-draw), the same draws the explicit star construction makes, so identical
-(seed, shot) pairs replay identically.
+Hybrid execution holds the circuit register only, with no appended ancilla,
+and runs in two phases.  Every rotation outcome has probability 1/2 whatever
+the register state, so the draw phase (`_draw_outcomes`) makes all of a
+shot's random draws from its own (seed, shot) stream before any amplitude is
+touched, in a fixed order: per rotation an optional kappa bit, the
+measurement, and a reset draw when both ancilla reset branches are possible
+(`star.draw_rotation`); then one readout draw.  These are the draws the
+explicit star construction makes, so identical (seed, shot) pairs replay
+identically.  The state phase (`_trajectory`) draws nothing: it runs the
+gates, each rotation as `star.rotation_action`, for a given outcome bitset.
+A run computes one trajectory per distinct outcome pattern among its shots,
+one pattern at a time, and reads every shot of that pattern out of it.
 """
 from __future__ import annotations
 
@@ -21,7 +26,7 @@ import numpy as np
 from . import star, tracker
 from .circuits import Circuit, CzGate, Gate, MultiZRot, NamedGate, SingleQubit
 from .core import BlochVector, RandomSource, StateVector, apply_cz, apply_named, apply_single_qubit, fidelity
-from .core import embed_logical, logical_marginal, make_basis_state
+from .core import embed_logical, logical_marginal, make_basis_state, pick_index
 from .star import RotationRecord
 from .tracker import Gf2Expr, InfoFlowVector, render_component, render_flow
 
@@ -51,7 +56,9 @@ class ExecutionConfig:
     kappa selects the ancilla preparation signs: "zero" uses each gate's own
     value (default 0), "random" draws a fresh bit per rotation, or a list
     fixes one value per rotation.  forced_outcomes pins every rotation's
-    measurement result (length must equal the rotation count).
+    measurement result (length must equal the rotation count).  List entries
+    must be the ints 0 and 1; `validate` rejects anything else before a run
+    starts.
     """
 
     mode: str = "hqcm"
@@ -70,6 +77,8 @@ class ExecutionConfig:
             raise ValueError("shots must be >= 1")
         if self.symbolic and self.shots > 1:
             raise ValueError("symbolic mode is single-shot")
+        if self.kappa not in ("zero", "random") and not isinstance(self.kappa, list):
+            raise ValueError(f"kappa must be 'zero', 'random' or a list of 0/1 per rotation, got {self.kappa!r}")
         rotations = circuit.rotation_count()
         if self.forced_outcomes is not None and len(self.forced_outcomes) != rotations:
             raise ValueError(
@@ -77,6 +86,10 @@ class ExecutionConfig:
             )
         if isinstance(self.kappa, list) and len(self.kappa) != rotations:
             raise ValueError(f"kappa list has {len(self.kappa)} entries for {rotations} rotations")
+        for name, bits in (("forced_outcomes", self.forced_outcomes), ("kappa", self.kappa)):
+            for r, bit in enumerate(bits if isinstance(bits, (list, tuple)) else ()):
+                if type(bit) is not int or bit not in (0, 1):
+                    raise ValueError(f"{name}[{r}] must be the int 0 or 1, got {bit!r}")
 
 
 @dataclass
@@ -325,23 +338,35 @@ def _compile_flow(circuit: Circuit) -> _CompiledFlow:
     return compiled
 
 
-def _execute_hybrid(
-    circuit: Circuit,
-    compiled: _CompiledFlow,
-    config: ExecutionConfig,
-    shot: int,
-    initial: StateVector,
-):
-    """One hybrid trajectory from the embedded input `initial`, without the
-    final readout.
+def _draw_outcomes(compiled: _CompiledFlow, config: ExecutionConfig, rng: RandomSource):
+    """A shot's rotation outcomes as a bitset, and its rotation records.
 
-    Returns (register state, outcome bitset, rotation records, and the shot's
-    live random stream for any follow-up draws).
+    Per rotation this draws from `rng` in order: the kappa bit when kappa is
+    "random", then `star.draw_rotation`'s measurement and reset draws.  Each
+    angle's sign needs only earlier outcomes, so no state is involved.
     """
-    rng = RandomSource(config.seed, shot)
-    state = initial
     outcomes = 0
     records: list[RotationRecord] = []
+    for rotation, (_, gate, parity, _) in enumerate(compiled.notes):
+        if isinstance(config.kappa, list):
+            kappa = config.kappa[rotation]
+        elif config.kappa == "random":
+            kappa = rng.bit()
+        else:
+            kappa = gate.kappa
+        forced = None if config.forced_outcomes is None else config.forced_outcomes[rotation]
+        theta = tracker.adapt_angle(_bit(parity, outcomes), gate.theta)
+        record = star.draw_rotation(gate.leaves, theta, kappa, rng, forced=forced, theta_requested=gate.theta)
+        records.append(record)
+        outcomes |= record.outcome << rotation
+    return outcomes, records
+
+
+def _trajectory(compiled: _CompiledFlow, outcomes: int, initial: StateVector) -> StateVector:
+    """The register state, before readout, of every shot from the embedded
+    input `initial` whose rotation outcomes are the bits of `outcomes`."""
+    state = initial
+    rotation = 0
     for gate, reads in compiled.plan:
         if isinstance(gate, NamedGate):
             if gate.name == "RZ":  # rotation path, executed with a sign-adapted angle
@@ -355,26 +380,10 @@ def _execute_hybrid(
         elif isinstance(gate, CzGate):
             state = apply_cz(state, gate.a, gate.b)
         else:
-            rotation = len(records)
-            if isinstance(config.kappa, list):
-                kappa = config.kappa[rotation]
-            elif config.kappa == "random":
-                kappa = rng.bit()
-            else:
-                kappa = gate.kappa
-            forced = None if config.forced_outcomes is None else config.forced_outcomes[rotation]
-            record, state = star.fused_rotation(
-                state,
-                gate.leaves,
-                tracker.adapt_angle(_bit(reads, outcomes), gate.theta),
-                kappa,
-                rng,
-                forced=forced,
-                theta_requested=gate.theta,
-            )
-            records.append(record)
-            outcomes |= int(record.outcome) << rotation
-    return state, outcomes, records, rng
+            theta = tracker.adapt_angle(_bit(reads, outcomes), gate.theta)
+            state = star.rotation_action(state, gate.leaves, theta, outcomes >> rotation & 1)
+            rotation += 1
+    return state
 
 
 def _run_shots(
@@ -385,28 +394,40 @@ def _run_shots(
 ) -> list[ShotResult]:
     """Every shot of a validated run from the embedded input `initial`, read
     out and corrected; with a reference state each shot's fidelity is filled
-    in too."""
+    in too.
+
+    Each shot first makes all its draws on its own stream: its rotation
+    outcomes, then the readout uniform.  Shots are then grouped by outcome
+    bitset in first-seen order, and each group's trajectory, flow and
+    fidelity are computed once, one group at a time.
+    """
     compiled = _compile_flow(circuit)
-    reported = circuit.logicals if not config.include_work_readout else tuple(range(circuit.num_qubits))
-    results = []
+    patterns: dict[int, list[tuple[int, list[RotationRecord], float]]] = {}
     for shot in range(config.shots):
-        state, outcomes, records, rng = _execute_hybrid(circuit, compiled, config, shot, initial)
-        flow = compiled.evaluate(outcomes)
-        index = rng.sample_index(state.probabilities())
-        raw_full = [(index >> q) & 1 for q in range(circuit.num_qubits)]
-        corrected_full = tracker.correct_readout(raw_full, flow)
-        result = ShotResult(
-            raw=tuple(raw_full[q] for q in reported),
-            corrected=tuple(corrected_full[q] for q in reported),
-            flow=flow,
-            rotations=records,
-            reported_qubits=reported,
-        )
-        if config.trace or config.symbolic:
-            result.trace = compiled.trace(records, outcomes, config.symbolic)
-        if reference is not None:
-            result.fidelity = fidelity(_undo_byproduct(state, flow), reference)
-        results.append(result)
+        rng = RandomSource(config.seed, shot)
+        outcomes, records = _draw_outcomes(compiled, config, rng)
+        patterns.setdefault(outcomes, []).append((shot, records, rng.random()))
+    results: list = [None] * config.shots
+    reported = circuit.logicals if not config.include_work_readout else tuple(range(circuit.num_qubits))
+    for outcomes, shots in patterns.items():
+        state = _trajectory(compiled, outcomes, initial)
+        flow = compiled.evaluate(outcomes)  # one object, shared by the pattern's shots
+        shot_fidelity = None if reference is None else fidelity(_undo_byproduct(state, flow), reference)
+        indices = pick_index(np.cumsum(state.probabilities()), np.array([u for *_, u in shots]))
+        del state  # so that the next pattern's trajectory is the only state alive
+        for (shot, records, _), index in zip(shots, indices.tolist()):
+            raw_full = [(index >> q) & 1 for q in range(circuit.num_qubits)]
+            corrected_full = tracker.correct_readout(raw_full, flow)
+            results[shot] = ShotResult(
+                raw=tuple(raw_full[q] for q in reported),
+                corrected=tuple(corrected_full[q] for q in reported),
+                flow=flow,
+                rotations=records,
+                reported_qubits=reported,
+                fidelity=shot_fidelity,
+            )
+            if config.trace or config.symbolic:
+                results[shot].trace = compiled.trace(records, outcomes, config.symbolic)
     return results
 
 
@@ -504,8 +525,8 @@ def verify_equivalence(
             logical = _random_state(len(circuit.logicals), input_rng) if random_inputs else None
             initial = _embed_logical(circuit, logical)
             reference = _unitary_state(circuit, initial)
-        state, outcomes, _, _ = _execute_hybrid(circuit, compiled, config, trial, initial)
-        corrected = _undo_byproduct(state, compiled.evaluate(outcomes))
+        outcomes, _ = _draw_outcomes(compiled, config, RandomSource(seed, trial))
+        corrected = _undo_byproduct(_trajectory(compiled, outcomes, initial), compiled.evaluate(outcomes))
         fidelities.append(fidelity(corrected, reference))
     return EquivalenceReport(
         trials=trials,

@@ -14,6 +14,12 @@ for every input, and the azimuth (-1)^kappa * pi/2 cancels kappa.
 `fused_rotation` applies it as one diagonal multiply on the register, with no
 ancilla, and consumes the random draws the reference would: the measurement,
 then the ancilla reset's draw when both reset branches are possible.
+
+Because no draw depends on the register state, `fused_rotation` is the
+composition of two halves that the runner calls apart: `draw_rotation` makes
+the draws and returns the record, and `rotation_action` applies the diagonal
+for a given outcome.  A shot can then draw all its outcomes first, and shots
+that drew the same outcomes share one trajectory.
 """
 from __future__ import annotations
 
@@ -45,9 +51,11 @@ __all__ = [
     "apply_multi_z_unitary",
     "build_star_state",
     "check_stabilizer",
+    "draw_rotation",
     "fused_rotation",
     "multi_z_rotation",
     "reset_to_zero",
+    "rotation_action",
     "rz_teleport_gadget",
 ]
 
@@ -182,23 +190,21 @@ def _apply_parity_phases(state: StateVector, leaves: tuple[int, ...], phases: np
     return StateVector(state.num_qubits, state.amplitudes * phases.take(parity))
 
 
-def fused_rotation(
-    state: StateVector,
+def draw_rotation(
     leaves: tuple[int, ...] | list[int],
     theta: float,
     kappa: int,
     rng: RandomSource,
     forced: int | None = None,
     theta_requested: float | None = None,
-) -> tuple[RotationRecord, StateVector]:
-    """Register-only `multi_z_rotation` followed by the ancilla reset.
+) -> RotationRecord:
+    """The random half of `fused_rotation`: its outcome and record.
 
-    Returns the input times (Z^{x n})^m exp(-i theta Z^{x n}/2), dropping the
-    reference's global phase, and draws from `rng` exactly as the reference
-    pair does: one draw for m unless it is forced, then one for the reset
-    when both cos^2(theta/2) and sin^2(theta/2) reach 1e-14.
+    Draws from `rng` exactly as the reference `multi_z_rotation` and
+    `reset_to_zero` pair does: one draw for m unless it is forced, then one
+    for the reset when both cos^2(theta/2) and sin^2(theta/2) reach 1e-14.
+    The register state plays no part, because p(m) = 1/2 for every input.
     """
-    leaves = tuple(leaves)
     if kappa not in (0, 1):
         raise ValueError("kappa must be 0 or 1")
     if forced is None:
@@ -210,15 +216,39 @@ def fused_rotation(
     half = theta / 2
     if min(cos(half) ** 2, sin(half) ** 2) >= _MIN_PROBABILITY:
         rng.random()  # the reset's outcome only sets a global phase
-    phases = np.array([exp(-1j * half), (-1) ** outcome * exp(1j * half)])
-    record = RotationRecord(
+    return RotationRecord(
         theta_requested=theta if theta_requested is None else theta_requested,
         theta_executed=theta,
         kappa=kappa,
         outcome=outcome,
-        leaves=leaves,
+        leaves=tuple(leaves),
     )
-    return record, _apply_parity_phases(state, leaves, phases)
+
+
+def rotation_action(
+    state: StateVector, leaves: tuple[int, ...] | list[int], theta: float, outcome: int
+) -> StateVector:
+    """The deterministic half of `fused_rotation`: the input times
+    (Z^{x n})^outcome exp(-i theta Z^{x n}/2), dropping the reference's
+    global phase."""
+    half = theta / 2
+    phases = np.array([exp(-1j * half), (-1) ** outcome * exp(1j * half)])
+    return _apply_parity_phases(state, tuple(leaves), phases)
+
+
+def fused_rotation(
+    state: StateVector,
+    leaves: tuple[int, ...] | list[int],
+    theta: float,
+    kappa: int,
+    rng: RandomSource,
+    forced: int | None = None,
+    theta_requested: float | None = None,
+) -> tuple[RotationRecord, StateVector]:
+    """Register-only `multi_z_rotation` followed by the ancilla reset:
+    `draw_rotation`, then `rotation_action` with the drawn outcome."""
+    record = draw_rotation(leaves, theta, kappa, rng, forced, theta_requested)
+    return record, rotation_action(state, record.leaves, theta, record.outcome)
 
 
 def apply_multi_z_unitary(state: StateVector, leaves: tuple[int, ...] | list[int], theta: float) -> StateVector:

@@ -1,5 +1,8 @@
 """Command-line interface tests."""
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ from hqcsim.runner import EquivalenceReport
 
 DATA = Path(__file__).parent / "data"
 CIRCUITS = Path(__file__).parent.parent / "circuits"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def write_circuit(tmp_path, text):
@@ -166,6 +170,15 @@ class TestTable1Command:
         assert cli.main(["table1"]) == 0
         golden = (DATA / "table1_golden.txt").read_text()
         assert capsys.readouterr().out == golden
+
+    def test_module_entry_point(self, tmp_path):
+        env = {k: v for k, v in os.environ.items() if k != "HQCSIM_SEED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "hqcsim", "table1"], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == (DATA / "table1_golden.txt").read_text()
 
 
 def test_seed_env_default(tmp_path, capsys, monkeypatch):

@@ -5,6 +5,7 @@ import platform
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from hqcsim.runner import (
     total_variation,
     verify_equivalence,
 )
-from hqcsim.tracker import Gf2Expr, InfoFlowVector, absorb_rotation_outcome, init_flow, propagate
+from hqcsim.tracker import Gf2Expr, InfoFlowVector, absorb_rotation_outcome, angle_parity, init_flow, propagate
 
 import oracles
 
@@ -255,8 +256,13 @@ class TestHotPath:
         monkeypatch.setattr(tracker, "adapt_angle", lambda *args: calls.append(args) or adapt_angle(*args))
         circuit = Circuit(2, 0, [NamedGate(0, "H"), NamedGate(0, "RZ", 0.3), MultiZRot((0, 1), 0.7),
                                  NamedGate(1, "RZ", -0.2)])
-        run_hqcm(circuit, ExecutionConfig(shots=3, seed=5))
-        assert len(calls) == 3 * 3
+        shots = 8
+        results = run_hqcm(circuit, ExecutionConfig(shots=shots, seed=5))
+        patterns = len({r.rotations[0].outcome for r in results})
+        assert patterns == 2
+        # the draw phase adapts the MZROT angle once per shot; each outcome
+        # pattern's trajectory adapts both RZ angles and the MZROT angle once
+        assert len(calls) == shots * 1 + patterns * 3
         assert {theta for _, theta in calls} == {0.3, 0.7, -0.2}
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap settings are glibc's")
@@ -268,6 +274,183 @@ class TestHotPath:
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         assert verify_equivalence(circuit, trials=20, random_inputs=True).passed
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 20 * 20
+
+
+class TestConfigValidation:
+    CIRCUIT = Circuit(2, 0, [NamedGate(0, "H"), MultiZRot((0, 1), 0.7), MultiZRot((1,), 0.2)])
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (ExecutionConfig(kappa="bogus"), "kappa must be 'zero', 'random' or a list"),
+            (ExecutionConfig(kappa=(0, 1)), "kappa must be 'zero', 'random' or a list"),
+            (ExecutionConfig(kappa=[2, 0]), r"kappa\[0\] must be the int 0 or 1, got 2"),
+            (ExecutionConfig(kappa=[0, True]), r"kappa\[1\] must be the int 0 or 1, got True"),
+            (ExecutionConfig(forced_outcomes=[True, 0]), r"forced_outcomes\[0\] must be the int 0 or 1, got True"),
+            (ExecutionConfig(forced_outcomes=[0, 1.0]), r"forced_outcomes\[1\] must be the int 0 or 1, got 1.0"),
+            (ExecutionConfig(forced_outcomes=[0, -1]), r"forced_outcomes\[1\] must be the int 0 or 1, got -1"),
+        ],
+    )
+    def test_rejected_before_any_state_work(self, monkeypatch, config, message):
+        def refuse(*args):
+            raise AssertionError("state work before the config was validated")
+
+        monkeypatch.setattr(runner, "embed_logical", refuse)
+        for run in (lambda: run_hqcm(self.CIRCUIT, config), lambda: run_both(self.CIRCUIT, config)):
+            with pytest.raises(ValueError, match=message):
+                run()
+
+
+def logging_source(log: list):
+    """A RandomSource class whose instances append (stream, call, value) to
+    `log` for every draw."""
+
+    class LoggingSource(core.RandomSource):
+        def random(self):
+            value = super().random()
+            log.append((self.stream, "random", value))
+            return value
+
+        def bit(self):
+            value = super().bit()
+            log.append((self.stream, "bit", value))
+            return value
+
+    return LoggingSource
+
+
+def interleaved_shot(circuit, config, shot, initial, source):
+    """One hybrid shot with each rotation's draws made where the rotation
+    runs (`star.fused_rotation` on the live state), and the flow stepped gate
+    by gate through the tracker rules.  Returns (records, state before
+    readout, final flow, readout index)."""
+    rng = source(config.seed, shot)
+    state, flow, records = initial, init_flow(circuit.num_qubits), []
+    for gate in circuit.gates:
+        if isinstance(gate, NamedGate) and gate.name == "RZ":
+            state = core.apply_named(state, gate.q, "RZ", tracker.adapt_angle(flow.x[gate.q], gate.phi))
+        elif isinstance(gate, NamedGate):
+            state = core.apply_named(state, gate.q, gate.name)
+            if gate.name == "H":
+                flow = propagate(flow, ("H", gate.q))
+        elif isinstance(gate, SingleQubit):
+            axis = tracker.adapt_axis(flow.x[gate.q], flow.z[gate.q], core.BlochVector(gate.theta, gate.phi))
+            state = core.apply_single_qubit(state, gate.q, axis, gate.alpha)
+        elif isinstance(gate, CzGate):
+            state = core.apply_cz(state, gate.a, gate.b)
+            flow = propagate(flow, ("CZ", gate.a, gate.b))
+        else:
+            r = len(records)
+            if isinstance(config.kappa, list):
+                kappa = config.kappa[r]
+            else:
+                kappa = rng.bit() if config.kappa == "random" else gate.kappa
+            forced = None if config.forced_outcomes is None else config.forced_outcomes[r]
+            theta = tracker.adapt_angle(angle_parity(flow, gate.leaves), gate.theta)
+            record, state = star.fused_rotation(state, gate.leaves, theta, kappa, rng, forced, gate.theta)
+            records.append(record)
+            flow = absorb_rotation_outcome(flow, gate.leaves, record.outcome)
+    return records, state, flow, rng.sample_index(state.probabilities())
+
+
+def special_angle_circuit() -> Circuit:
+    """Rotations at 0, +-pi and 2pi (no reset draw) among general ones, with
+    a work qubit, so every draw rule and gate kind appears."""
+    return parse_circuit(
+        "qubits 3 work 1\nH 1\nH 2\nMZROT 0 1 2\nSQ 3 0.4 1.2 2.1\nMZROT pi 1\nRZ 2 0.3\n"
+        "LAMBDA2 pi/3 1 2 : 3\nMZROT -pi 2 3\nCZ 1 3\nMZROT 2pi 1 3\nH 3\nMZROT 0.9 3\n"
+    )
+
+
+class TestDrawThenTrajectory:
+    CIRCUITS = [special_angle_circuit(), *(random_circuit(4, 12, np.random.default_rng(50 + k)) for k in range(3))]
+
+    def configs(self, circuit):
+        rotations = circuit.rotation_count()
+        bits = np.random.default_rng(rotations)
+        yield ExecutionConfig(shots=12, seed=3)
+        yield ExecutionConfig(shots=12, seed=4, kappa="random", include_work_readout=True)
+        yield ExecutionConfig(shots=12, seed=5, kappa=[int(b) for b in bits.integers(0, 2, rotations)])
+        yield ExecutionConfig(shots=12, seed=6, forced_outcomes=[int(b) for b in bits.integers(0, 2, rotations)])
+        yield ExecutionConfig(shots=12, seed=7, kappa="random", forced_outcomes=[1] * rotations)
+
+    def test_draws_match_interleaved_rotations(self, monkeypatch):
+        for circuit in self.CIRCUITS:
+            for config in self.configs(circuit):
+                interleaved_log, run_log = [], []
+                initial = runner._embed_logical(circuit, None)
+                expected = [
+                    interleaved_shot(circuit, config, shot, initial, logging_source(interleaved_log))
+                    for shot in range(config.shots)
+                ]
+                monkeypatch.setattr(runner, "RandomSource", logging_source(run_log))
+                results = run_hqcm(circuit, config)
+                monkeypatch.undo()
+                assert run_log == interleaved_log
+                compiled = runner._compile_flow(circuit)
+                for result, (records, state, flow, index) in zip(results, expected):
+                    assert result.rotations == records
+                    assert result.flow == flow
+                    reported = result.reported_qubits
+                    assert result.raw == tuple((index >> q) & 1 for q in reported)
+                    assert result.corrected == tuple(((index >> q) ^ flow.x[q]) & 1 for q in reported)
+                    outcomes = sum(record.outcome << r for r, record in enumerate(records))
+                    trajectory = runner._trajectory(compiled, outcomes, initial)
+                    assert np.array_equal(trajectory.amplitudes, state.amplitudes)
+
+    def test_both_mode_matches_per_shot_recomputation(self):
+        for circuit in self.CIRCUITS:
+            for config in self.configs(circuit):
+                results, reference, _, _ = run_both(circuit, config)
+                initial = runner._embed_logical(circuit, None)
+                for shot, result in enumerate(results):
+                    records, state, flow, index = interleaved_shot(circuit, config, shot, initial, core.RandomSource)
+                    for name, q in tracker.byproduct_to_unitary(flow):
+                        state = core.apply_named(state, q, name)
+                    assert result.fidelity == core.fidelity(state, reference)
+                    assert result.raw == tuple((index >> q) & 1 for q in result.reported_qubits)
+                    assert result.rotations == records
+
+    def test_one_trajectory_per_outcome_pattern(self, monkeypatch):
+        calls = []
+        trajectory = runner._trajectory
+        monkeypatch.setattr(runner, "_trajectory", lambda *args: calls.append(args[1]) or trajectory(*args))
+        circuit = special_angle_circuit()
+        rotations = circuit.rotation_count()
+        for forced, kappa in (([1, 0] * rotations)[:rotations], "zero"), ([0] * rotations, "random"):
+            calls.clear()
+            run_hqcm(circuit, ExecutionConfig(shots=50, seed=1, forced_outcomes=forced, kappa=kappa))
+            assert len(calls) == 1
+        calls.clear()
+        run_hqcm(Circuit(3, 0, [NamedGate(0, "H"), CzGate(0, 1), SingleQubit(2, 0.3, 0.1, 0.9)]),
+                 ExecutionConfig(shots=50, seed=2))
+        assert len(calls) == 1
+        calls.clear()
+        results = run_hqcm(circuit, ExecutionConfig(shots=100, seed=3))
+        distinct = {tuple(record.outcome for record in r.rotations) for r in results}
+        assert 1 < len(distinct) < 100
+        assert len(calls) == len(set(calls)) == len(distinct)
+        calls.clear()
+        run_both(circuit, ExecutionConfig(mode="both", shots=100, seed=3))
+        assert len(calls) == len(distinct)
+
+    def test_wide_run_holds_few_states(self):
+        # 14 rotations make 2^14 outcome patterns, so 32 shots all differ and
+        # each needs its own trajectory; a run that kept them would hold 32
+        # states of 256 KiB
+        n = 14
+        gates = [NamedGate(q, "H") for q in range(n)] + [MultiZRot((q, (q + 1) % n), 0.3 + q) for q in range(n)]
+        circuit = Circuit(n, 0, gates + [NamedGate(q, "H") for q in range(n)])
+        # a first run in a process allocates about 0.75 MB once (lazy imports)
+        run_hqcm(Circuit(2, 0, [NamedGate(0, "H"), MultiZRot((0, 1), 0.3)]), ExecutionConfig(shots=2))
+        tracemalloc.start()
+        try:
+            results = run_hqcm(circuit, ExecutionConfig(shots=32, seed=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len({tuple(record.outcome for record in r.rotations) for r in results}) == 32
+        assert peak < 6 * (16 << n), peak / (16 << n)
 
 
 class TestInitialStateNorm:
