@@ -58,7 +58,6 @@ from .tracker import (
     absorb_rotation_outcome,
     adapt_axis,
     adapt_azimuth,
-    adapt_euler,
     adapt_rotation_angle,
     byproduct_to_unitary,
     correct_readout,

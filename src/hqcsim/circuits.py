@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import floor, pi, sqrt
 
+from .core import check_state_fits
+
 __all__ = [
     "Circuit",
     "CzGate",
@@ -141,6 +143,7 @@ class Circuit:
             raise ValueError("circuit needs at least one logical qubit")
         if self.num_work < 0:
             raise ValueError("negative work qubit count")
+        check_state_fits(self.num_qubits)
         if self.work_qubits is not None:
             if len(self.work_qubits) != self.num_work:
                 raise ValueError("work_qubits length does not match num_work")
@@ -242,24 +245,17 @@ def expand_lambda_z_steps(
     if len(controls) == 1:
         return [[CzGate(controls[0], target)]]
 
-    forward: list[list[Gate]] = []
-    pair = (controls[0], controls[1])
-    for i, w in enumerate(work):
-        forward.append(expand_lambda2(pair, (w,), pi))
-        forward.append([NamedGate(w, "H")])
-        if i + 1 < len(work):
-            pair = (controls[i + 2], w)
+    # work qubit k collects the pair (c0, c1) for k = 0, else (c_{k+1}, w_{k-1})
+    pairs = [(controls[0], controls[1]), *zip(controls[2:], work)]
 
-    mirror: list[list[Gate]] = []
-    pair = (controls[0], controls[1])
-    for i, w in enumerate(work):
-        mirror.append(expand_lambda2(pair, (w,), -pi))
-        mirror.append([NamedGate(w, "H")])
-        if i + 1 < len(work):
-            pair = (controls[i + 2], w)
-    mirror.reverse()
+    def ladder(four_theta: float) -> list[list[Gate]]:
+        steps: list[list[Gate]] = []
+        for pair, w in zip(pairs, work):
+            steps.append(expand_lambda2(pair, (w,), four_theta))
+            steps.append([NamedGate(w, "H")])
+        return steps
 
-    return forward + [[CzGate(work[-1], target)]] + mirror
+    return ladder(pi) + [[CzGate(work[-1], target)]] + ladder(-pi)[::-1]
 
 
 def expand_lambda_z(controls: tuple[int, ...], target: int, work: tuple[int, ...]) -> list[Gate]:
@@ -325,6 +321,7 @@ def build_grover(n: int, j: int, iterations: int | None = None) -> Circuit:
     if iterations < 0:
         raise ValueError("negative iteration count")
     num_work = max(n - 2, 0)
+    check_state_fits(n + num_work)
     work = tuple(range(n, n + num_work))
     step_gates: list[list[Gate]] = [[NamedGate(q, "H")] for q in range(n)]
     for _ in range(iterations):

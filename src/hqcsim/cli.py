@@ -27,7 +27,10 @@ __all__ = ["main"]
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("HQCSIM_SEED", "0"))
+    text = os.environ.get("HQCSIM_SEED", "0")
+    if not text.strip().isdecimal():
+        raise ValueError(f"HQCSIM_SEED must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,6 +95,7 @@ def _execute(circuit, args) -> int:
         include_work_readout=getattr(args, "include_work", False),
     )
     if config.mode == "unitary":
+        config.validate(circuit)
         _, distribution = run_unitary(circuit, include_work=config.include_work_readout)
         text = results_to_json(circuit, config, [], unitary_distribution=distribution)
         _write_outputs(text, [], args.out, args.csv)

@@ -16,6 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import ctypes
+import os
 import sys
 from dataclasses import dataclass
 from math import cos, sin, sqrt
@@ -144,6 +145,25 @@ class StateVector:
 
     def copy(self) -> "StateVector":
         return StateVector(self.num_qubits, self.amplitudes.copy())
+
+
+def _physical_memory() -> int | None:
+    """Installed memory in bytes, or None where sysconf cannot tell."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def check_state_fits(num_qubits: int) -> None:
+    """Reject a register whose state vector, 16 bytes per amplitude, would
+    not fit in physical memory, before any work is done for it."""
+    needed = 16 << num_qubits
+    memory = _physical_memory()
+    if memory is not None and needed > memory:
+        raise ValueError(
+            f"a {num_qubits}-qubit state needs {needed} bytes, more than the {memory} bytes of physical memory"
+        )
 
 
 def make_basis_state(num_qubits: int, bits: list[int] | tuple[int, ...]) -> StateVector:

@@ -75,6 +75,8 @@ class ExecutionConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.symbolic and self.shots > 1:
             raise ValueError("symbolic mode is single-shot")
         if self.kappa not in ("zero", "random") and not isinstance(self.kappa, list):
@@ -516,10 +518,11 @@ def verify_equivalence(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     circuit.validate()
+    config = ExecutionConfig(seed=seed)
+    config.validate(circuit)
     compiled = _compile_flow(circuit)
     input_rng = np.random.default_rng(seed)
     fidelities = []
-    config = ExecutionConfig(seed=seed)
     for trial in range(trials):
         if random_inputs or trial == 0:
             logical = _random_state(len(circuit.logicals), input_rng) if random_inputs else None

@@ -11,15 +11,13 @@ That construction (`build_star_state`, `multi_z_rotation`, `reset_to_zero`)
 is the reference.  On the register alone the measurement is the diagonal
 Kraus operator (Z^{x n})^m exp(-i theta Z^{x n}/2)/sqrt(2) with p(m) = 1/2
 for every input, and the azimuth (-1)^kappa * pi/2 cancels kappa.
-`fused_rotation` applies it as one diagonal multiply on the register, with no
-ancilla, and consumes the random draws the reference would: the measurement,
-then the ancilla reset's draw when both reset branches are possible.
-
-Because no draw depends on the register state, `fused_rotation` is the
-composition of two halves that the runner calls apart: `draw_rotation` makes
-the draws and returns the record, and `rotation_action` applies the diagonal
-for a given outcome.  A shot can then draw all its outcomes first, and shots
-that drew the same outcomes share one trajectory.
+Because no draw depends on the register state, the hot path splits a rotation
+into two halves: `draw_rotation` consumes the random draws the reference
+would (the measurement, then the ancilla reset's draw when both reset
+branches are possible) and returns the record, and `rotation_action` applies
+the diagonal for a given outcome as one multiply on the register, with no
+ancilla.  A shot can then draw all its outcomes first, and shots that drew
+the same outcomes share one trajectory.
 """
 from __future__ import annotations
 
@@ -52,7 +50,6 @@ __all__ = [
     "build_star_state",
     "check_stabilizer",
     "draw_rotation",
-    "fused_rotation",
     "multi_z_rotation",
     "reset_to_zero",
     "rotation_action",
@@ -198,7 +195,7 @@ def draw_rotation(
     forced: int | None = None,
     theta_requested: float | None = None,
 ) -> RotationRecord:
-    """The random half of `fused_rotation`: its outcome and record.
+    """The random half of a register-only rotation: its outcome and record.
 
     Draws from `rng` exactly as the reference `multi_z_rotation` and
     `reset_to_zero` pair does: one draw for m unless it is forced, then one
@@ -228,27 +225,12 @@ def draw_rotation(
 def rotation_action(
     state: StateVector, leaves: tuple[int, ...] | list[int], theta: float, outcome: int
 ) -> StateVector:
-    """The deterministic half of `fused_rotation`: the input times
+    """The deterministic half of a register-only rotation: the input times
     (Z^{x n})^outcome exp(-i theta Z^{x n}/2), dropping the reference's
     global phase."""
     half = theta / 2
     phases = np.array([exp(-1j * half), (-1) ** outcome * exp(1j * half)])
     return _apply_parity_phases(state, tuple(leaves), phases)
-
-
-def fused_rotation(
-    state: StateVector,
-    leaves: tuple[int, ...] | list[int],
-    theta: float,
-    kappa: int,
-    rng: RandomSource,
-    forced: int | None = None,
-    theta_requested: float | None = None,
-) -> tuple[RotationRecord, StateVector]:
-    """Register-only `multi_z_rotation` followed by the ancilla reset:
-    `draw_rotation`, then `rotation_action` with the drawn outcome."""
-    record = draw_rotation(leaves, theta, kappa, rng, forced, theta_requested)
-    return record, rotation_action(state, record.leaves, theta, record.outcome)
 
 
 def apply_multi_z_unitary(state: StateVector, leaves: tuple[int, ...] | list[int], theta: float) -> StateVector:

@@ -3,9 +3,10 @@ matrices, measurement-angle adaptation, and readout correction.
 
 The byproduct accumulated on an n-qubit register is the Pauli product
 prod_j X_j^{x_j} Z_j^{z_j} (phases dropped); it is stored as the flow vector
-(x_1..x_n, z_1..z_n).  A component is a bit, an outcome bitset (an int whose
-bit r stands for the outcome of rotation r) or a `Gf2Expr`; all of them
-support `^`, so one set of update rules serves every kind.
+(x_1..x_n, z_1..z_n).  A component is a bit or an outcome bitset, an int
+whose bit r stands for the outcome of rotation r; both support `^`, so one
+set of update rules serves both.  `Gf2Expr` is how a symbolic trace prints a
+bitset, as an XOR of outcome labels.
 """
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ __all__ = [
     "adapt_angle",
     "adapt_axis",
     "adapt_azimuth",
-    "adapt_euler",
     "adapt_rotation_angle",
     "angle_parity",
     "byproduct_to_unitary",
@@ -70,12 +70,6 @@ class Gf2Expr:
     def __bool__(self) -> bool:
         return bool(self.symbols)
 
-    def evaluate(self, binding: Mapping[str, int]) -> int:
-        value = 0
-        for label in self.symbols:
-            value ^= binding[label] & 1
-        return value
-
     def __str__(self) -> str:
         return "+".join(sorted(self.symbols)) if self.symbols else "0"
 
@@ -85,7 +79,7 @@ class Gf2Expr:
 
 @dataclass
 class InfoFlowVector:
-    """Per-qubit X and Z byproduct exponents: bits, outcome bitsets or Gf2Expr."""
+    """Per-qubit X and Z byproduct exponents: bits or outcome bitsets."""
 
     x: list
     z: list
@@ -99,14 +93,6 @@ class InfoFlowVector:
 
     def is_numeric(self) -> bool:
         return all(isinstance(c, int) for c in self.x + self.z)
-
-    def evaluate(self, binding: Mapping[str, int]) -> "InfoFlowVector":
-        """Bind every symbol to a bit, yielding a numeric flow vector."""
-
-        def ev(c):
-            return c & 1 if isinstance(c, int) else c.evaluate(binding)
-
-        return InfoFlowVector([ev(c) for c in self.x], [ev(c) for c in self.z])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, InfoFlowVector):
@@ -244,16 +230,10 @@ def angle_parity(flow: InfoFlowVector, leaves: Sequence[int]):
     return acc
 
 
-def adapt_rotation_angle(flow: InfoFlowVector, leaves: Sequence[int], theta: float):
-    """Sign-adapt a multi-Z rotation angle: theta -> (-1)^parity * theta.
-
-    Numeric flows return the adapted float; symbolic flows return the pair
-    (theta, parity expression) since the sign is not yet decided.
-    """
-    parity = angle_parity(flow, leaves)
-    if isinstance(parity, int):
-        return adapt_angle(parity, theta)
-    return theta, parity
+def adapt_rotation_angle(flow: InfoFlowVector, leaves: Sequence[int], theta: float) -> float:
+    """Sign-adapt a multi-Z rotation angle under a bit-valued flow:
+    theta -> (-1)^parity * theta."""
+    return adapt_angle(angle_parity(flow, leaves), theta)
 
 
 def adapt_angle(parity: int, theta: float) -> float:
@@ -273,12 +253,6 @@ def adapt_axis(x: int, z: int, axis: BlochVector) -> BlochVector:
     ry *= (-1) ** ((x ^ z) & 1)
     rz *= (-1) ** (x & 1)
     return BlochVector(atan2(hypot(rx, ry), rz), atan2(ry, rx))
-
-
-def adapt_euler(x: int, z: int, angles: tuple[float, float, float]) -> tuple[float, float, float]:
-    """Euler angles (a, b, g) -> ((-1)^x a, (-1)^z b, (-1)^x g)."""
-    a, b, g = angles
-    return (adapt_angle(x, a), adapt_angle(z, b), adapt_angle(x, g))
 
 
 def adapt_azimuth(kappa: int) -> float:

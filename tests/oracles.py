@@ -21,14 +21,6 @@ def rz(phi: float) -> np.ndarray:
     return np.diag([np.exp(-0.5j * phi), np.exp(0.5j * phi)])
 
 
-def rx(beta: float) -> np.ndarray:
-    return cos(beta / 2) * I2 - 1j * sin(beta / 2) * X
-
-
-def euler(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    return rz(gamma) @ rx(beta) @ rz(alpha)
-
-
 def axis_rotation(theta: float, phi: float, alpha: float) -> np.ndarray:
     direction = sin(theta) * cos(phi) * X + sin(theta) * sin(phi) * Y + cos(theta) * Z
     return cos(alpha / 2) * I2 - 1j * sin(alpha / 2) * direction

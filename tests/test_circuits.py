@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from hqcsim import circuits, core
 from hqcsim.circuit_text import CircuitParseError, parse_angle, parse_circuit, serialize_circuit
 from hqcsim.circuits import (
     Circuit,
@@ -48,6 +49,12 @@ class TestIrValidation:
             Circuit(2, 0, [NamedGate(0, "H")], steps=[(0, 1)]).validate()
         with pytest.raises(ValueError):
             Circuit(2, 1, [], work_qubits=(0, 1)).validate()
+
+    def test_register_beyond_memory(self, monkeypatch):
+        monkeypatch.setattr(core, "_physical_memory", lambda: 1 << 20)  # room for 16 qubits
+        Circuit(14, 2, []).validate()
+        with pytest.raises(ValueError, match="^a 17-qubit state needs 2097152 bytes"):
+            Circuit(15, 2, []).validate()
 
     def test_default_works_trail_logicals(self):
         circuit = Circuit(3, 2, [])
@@ -305,6 +312,15 @@ class TestGrover:
             build_grover(1, 0)
         with pytest.raises(ValueError):
             build_grover(2, 9)
+
+    def test_register_beyond_memory_fails_before_any_gate(self, monkeypatch):
+        def no_gates(*args, **kwargs):
+            raise AssertionError("a gate was built")
+
+        monkeypatch.setattr(core, "_physical_memory", lambda: 1 << 20)  # room for 16 qubits
+        monkeypatch.setattr(circuits, "NamedGate", no_gates)
+        with pytest.raises(ValueError, match="^a 18-qubit state needs"):
+            build_grover(10, 0)
 
 
 class TestAngleLiterals:

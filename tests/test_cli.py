@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hqcsim import cli
+from hqcsim import cli, core
 from hqcsim.circuit_text import CircuitParseError, parse_circuit
 from hqcsim.runner import EquivalenceReport
 
@@ -157,6 +157,10 @@ class TestVerifyCommand:
         assert cli.main(["verify", str(CIRCUITS / "mixed_demo.hqc"), "--trials", "0"]) == 1
         assert capsys.readouterr().err == "error: trials must be >= 1\n"
 
+    def test_negative_seed_exits_one(self, capsys):
+        assert cli.main(["verify", str(CIRCUITS / "mixed_demo.hqc"), "--seed", "-4"]) == 1
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -4\n"
+
     def test_failure_exits_two(self, monkeypatch, tmp_path, capsys):
         path = write_circuit(tmp_path, "qubits 1\nH 1\n")
         fake = EquivalenceReport(trials=1, min_fidelity=0.5, mean_fidelity=0.5, fidelities=[0.5])
@@ -179,6 +183,35 @@ class TestTable1Command:
         )
         assert run.returncode == 0, run.stderr
         assert run.stdout == (DATA / "table1_golden.txt").read_text()
+
+
+@pytest.mark.parametrize("mode", ["hqcm", "unitary", "both"])
+@pytest.mark.parametrize(
+    "flags, message", [(["--shots", "0"], "shots must be >= 1"), (["--seed", "-4"], "seed must be non-negative, got -4")]
+)
+def test_bad_run_config_exits_one_in_every_mode(tmp_path, capsys, mode, flags, message):
+    path = write_circuit(tmp_path, "qubits 2\nH 1\nMZROT pi/4 1 2\n")
+    assert cli.main(["run", path, "--mode", mode, *flags]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("value", ["abc", "-4", ""])
+@pytest.mark.parametrize("command", [["run", "{path}"], ["run", "{path}", "--mode", "unitary"], ["verify", "{path}"],
+                                     ["grover", "--n", "2", "--marked", "1"], ["table1"]])
+def test_bad_seed_env_exits_one(tmp_path, capsys, monkeypatch, value, command):
+    path = write_circuit(tmp_path, "qubits 2\nH 1\n")
+    monkeypatch.setenv("HQCSIM_SEED", value)
+    assert cli.main([a.format(path=path) for a in command]) == 1
+    assert capsys.readouterr().err == f"error: HQCSIM_SEED must be a non-negative integer, got {value!r}\n"
+
+
+@pytest.mark.parametrize("command", [["grover", "--n", "10", "--marked", "0"], ["run", "{path}"]])
+def test_register_beyond_memory_exits_one(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(core, "_physical_memory", lambda: 1 << 20)  # room for 16 qubits
+    path = write_circuit(tmp_path, "qubits 18\nH 1\n")
+    assert cli.main([a.format(path=path) for a in command]) == 1
+    assert capsys.readouterr().err.startswith("error: a 18-qubit state needs 4194304 bytes, more than the 1048576")
 
 
 def test_seed_env_default(tmp_path, capsys, monkeypatch):

@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from hqcsim import core
 from hqcsim.core import (
     BlochVector,
     MeasurementSpec,
@@ -13,6 +14,7 @@ from hqcsim.core import (
     apply_named,
     apply_single_qubit,
     basis_kets,
+    check_state_fits,
     embed_logical,
     fidelity,
     logical_marginal,
@@ -320,6 +322,23 @@ class TestRandomSource:
         rng = RandomSource(3, 0)
         probs = np.array([0.0, 0.0, 1.0, 0.0])
         assert rng.sample_index(probs) == 2
+
+
+class TestStateFits:
+    # every test fixes the memory figure, so none depends on this host's size
+    def test_limit_is_sixteen_bytes_per_amplitude(self, monkeypatch):
+        monkeypatch.setattr(core, "_physical_memory", lambda: 1 << 20)
+        check_state_fits(16)
+        with pytest.raises(ValueError, match="^a 17-qubit state needs 2097152 bytes, more than the 1048576 bytes"):
+            check_state_fits(17)
+
+    def test_unknown_memory_skips_the_check(self, monkeypatch):
+        monkeypatch.setattr(core, "_physical_memory", lambda: None)
+        check_state_fits(200)
+
+    def test_memory_figure_is_positive_or_unknown(self):
+        memory = core._physical_memory()
+        assert memory is None or memory > 0
 
 
 def test_norm_preserved_over_long_sequence():

@@ -1,0 +1,87 @@
+"""Property tests over generated circuits: the text round trip, and hybrid
+execution against the unitary reference."""
+from dataclasses import replace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hqcsim.circuit_text import parse_circuit, serialize_circuit
+from hqcsim.circuits import (
+    Circuit,
+    CzGate,
+    MultiZRot,
+    NamedGate,
+    SingleQubit,
+    expand_lambda2,
+    expand_lambda_z_steps,
+)
+from hqcsim.runner import verify_equivalence
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=80)
+ANGLES = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def elementary_gate(draw, num_qubits: int):
+    """One gate of the elementary set on any register qubit, work qubits
+    included."""
+    qubit = st.integers(0, num_qubits - 1)
+    kinds = ["H", "X", "RZ", "SQ", "MZROT"] + (["CZ"] if num_qubits > 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("H", "X"):
+        return NamedGate(draw(qubit), kind)
+    if kind == "RZ":
+        return NamedGate(draw(qubit), "RZ", draw(ANGLES))
+    if kind == "SQ":
+        return SingleQubit(draw(qubit), draw(ANGLES), draw(ANGLES), draw(ANGLES))
+    if kind == "CZ":
+        a, b = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
+        return CzGate(a, b)
+    leaves = draw(st.lists(qubit, min_size=1, max_size=min(3, num_qubits), unique=True))
+    return MultiZRot(tuple(leaves), draw(ANGLES))
+
+
+@st.composite
+def flat_circuit(draw):
+    num_logical, num_work = draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    gates = draw(st.lists(elementary_gate(num_logical + num_work), max_size=12))
+    return Circuit(num_logical, num_work, gates)
+
+
+@given(flat_circuit())
+@PROPERTY
+def test_text_round_trip_keeps_gates(circuit):
+    parsed = parse_circuit(serialize_circuit(circuit))
+    assert (parsed.num_logical, parsed.num_work) == (circuit.num_logical, circuit.num_work)
+    assert parsed.gates == circuit.gates
+
+
+@st.composite
+def block_circuit(draw):
+    """Elementary gates on the logical qubits mixed with LAMBDA2 blocks and
+    multi-control Z ladders on the trailing work qubits, every rotation with
+    a drawn preparation sign kappa."""
+    num_logical, num_work = draw(st.integers(3, 4)), draw(st.integers(1, 2))
+    logical = st.lists(st.integers(0, num_logical - 1), min_size=3, max_size=3, unique=True)
+    steps = []
+    for kind in draw(st.lists(st.sampled_from(["gate", "LAMBDA2", "LAMBDAZ"]), min_size=1, max_size=5)):
+        if kind == "gate":
+            steps.append([draw(elementary_gate(num_logical))])
+        elif kind == "LAMBDA2":
+            c1, c2, t = draw(logical)
+            steps.append(expand_lambda2((c1, c2), (t,), draw(ANGLES)))
+        else:
+            controls = draw(st.integers(2, min(num_logical - 1, num_work + 1)))
+            qubits = draw(st.permutations(range(num_logical)))
+            work = tuple(range(num_logical, num_logical + controls - 1))
+            steps.extend(expand_lambda_z_steps(tuple(qubits[:controls]), qubits[controls], work))
+    kappa = st.integers(0, 1)
+    steps = [[replace(g, kappa=draw(kappa)) if isinstance(g, MultiZRot) else g for g in step] for step in steps]
+    return Circuit.from_steps(num_logical, num_work, steps)
+
+
+@given(block_circuit(), st.integers(0, 2**16), st.booleans())
+@PROPERTY
+def test_hybrid_matches_unitary_with_work_qubits_and_kappa(circuit, seed, random_inputs):
+    report = verify_equivalence(circuit, trials=2, seed=seed, random_inputs=random_inputs)
+    assert report.passed, report.fidelities

@@ -321,9 +321,9 @@ def logging_source(log: list):
 
 def interleaved_shot(circuit, config, shot, initial, source):
     """One hybrid shot with each rotation's draws made where the rotation
-    runs (`star.fused_rotation` on the live state), and the flow stepped gate
-    by gate through the tracker rules.  Returns (records, state before
-    readout, final flow, readout index)."""
+    runs (`star.draw_rotation`, then `star.rotation_action` on the live
+    state), and the flow stepped gate by gate through the tracker rules.
+    Returns (records, state before readout, final flow, readout index)."""
     rng = source(config.seed, shot)
     state, flow, records = initial, init_flow(circuit.num_qubits), []
     for gate in circuit.gates:
@@ -347,7 +347,8 @@ def interleaved_shot(circuit, config, shot, initial, source):
                 kappa = rng.bit() if config.kappa == "random" else gate.kappa
             forced = None if config.forced_outcomes is None else config.forced_outcomes[r]
             theta = tracker.adapt_angle(angle_parity(flow, gate.leaves), gate.theta)
-            record, state = star.fused_rotation(state, gate.leaves, theta, kappa, rng, forced, gate.theta)
+            record = star.draw_rotation(gate.leaves, theta, kappa, rng, forced, gate.theta)
+            state = star.rotation_action(state, gate.leaves, theta, record.outcome)
             records.append(record)
             flow = absorb_rotation_outcome(flow, gate.leaves, record.outcome)
     return records, state, flow, rng.sample_index(state.probabilities())

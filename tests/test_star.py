@@ -18,9 +18,10 @@ from hqcsim.star import (
     apply_multi_z_unitary,
     build_star_state,
     check_stabilizer,
-    fused_rotation,
+    draw_rotation,
     multi_z_rotation,
     reset_to_zero,
+    rotation_action,
     rz_teleport_gadget,
 )
 
@@ -267,6 +268,9 @@ def test_multi_z_unitary_bytes_match_bit_loop():
 
 
 class TestFusedRotation:
+    """The register-only rotation as the runner runs it, `draw_rotation` then
+    `rotation_action`, against the explicit star construction and its reset."""
+
     # pi - 1e-6 leaves both ancilla reset branches possible (one reset draw);
     # pi - 1e-8 pushes cos^2(theta/2) below 1e-14 (no reset draw)
     THETAS = (0.0, np.pi, -np.pi, 2 * np.pi, np.pi - 1e-6, np.pi - 1e-8, None)
@@ -288,7 +292,8 @@ class TestFusedRotation:
                             embed_with_top_ancilla(psi), leaves, angle, AncillaPrep(kappa), n, ref_rng, forced=forced
                         )
                         ref = reset_to_zero(ref, n, ref_rng)
-                        record, out = fused_rotation(StateVector(n, psi), leaves, angle, kappa, fused_rng, forced=forced)
+                        record = draw_rotation(leaves, angle, kappa, fused_rng, forced=forced)
+                        out = rotation_action(StateVector(n, psi), leaves, angle, record.outcome)
                         assert record == ref_record, case
                         assert ref_rng.random() == fused_rng.random(), case
                         register = StateVector(n, ref.amplitudes[: 2**n])
@@ -298,7 +303,8 @@ class TestFusedRotation:
 
     def test_outcome_byproduct_and_requested_angle(self):
         state = make_basis_state(2, [1, 0])
-        record, out = fused_rotation(state, (0, 1), 0.8, 1, RandomSource(0, 0), forced=1, theta_requested=-0.8)
+        record = draw_rotation((0, 1), 0.8, 1, RandomSource(0, 0), forced=1, theta_requested=-0.8)
+        out = rotation_action(state, record.leaves, 0.8, record.outcome)
         assert (record.outcome, record.kappa, record.theta_requested, record.theta_executed) == (1, 1, -0.8, 0.8)
         # odd parity: (-1)^m e^{+i theta/2}
         assert abs(out.amplitudes[1] + np.exp(0.4j)) < 1e-12
@@ -306,15 +312,15 @@ class TestFusedRotation:
     def test_validation(self):
         state = make_basis_state(2, [0, 0])
         with pytest.raises(ValueError, match="at least one qubit"):
-            fused_rotation(state, (), 0.1, 0, RandomSource(0, 0))
+            rotation_action(state, (), 0.1, 0)
         with pytest.raises(ValueError, match="distinct"):
-            fused_rotation(state, (1, 1), 0.1, 0, RandomSource(0, 0))
+            rotation_action(state, (1, 1), 0.1, 0)
         with pytest.raises(ValueError, match="out of range"):
-            fused_rotation(state, (2,), 0.1, 0, RandomSource(0, 0))
+            rotation_action(state, (2,), 0.1, 0)
         with pytest.raises(ValueError, match="kappa"):
-            fused_rotation(state, (0,), 0.1, 2, RandomSource(0, 0))
+            draw_rotation((0,), 0.1, 2, RandomSource(0, 0))
         with pytest.raises(ValueError, match="forced"):
-            fused_rotation(state, (0,), 0.1, 0, RandomSource(0, 0), forced=2)
+            draw_rotation((0,), 0.1, 0, RandomSource(0, 0), forced=2)
 
 
 class TestTeleportGadget:
