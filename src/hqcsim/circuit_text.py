@@ -238,7 +238,13 @@ def parse_circuit_file(path: str) -> Circuit:
 
 
 def serialize_circuit(circuit: Circuit) -> str:
-    """Render a circuit as elementary-gate text (macro grouping is dropped)."""
+    """Render a circuit as elementary-gate text (macro grouping is dropped).
+
+    Work qubits not after the logical ones and kappa = 1 have no text form, so
+    they raise ValueError instead of writing a different circuit."""
+    if circuit.works != tuple(range(circuit.num_logical, circuit.num_qubits)):
+        works = " ".join(str(q + 1) for q in circuit.works)
+        raise ValueError(f"cannot serialise work qubits {works}: the text format puts them after the logical ones")
     lines = [f"qubits {circuit.num_logical} work {circuit.num_work}"]
     for gate in circuit.gates:
         if isinstance(gate, NamedGate):
@@ -251,6 +257,8 @@ def serialize_circuit(circuit: Circuit) -> str:
         elif isinstance(gate, CzGate):
             lines.append(f"CZ {gate.a + 1} {gate.b + 1}")
         elif isinstance(gate, MultiZRot):
+            if gate.kappa:
+                raise ValueError(f"cannot serialise {gate!r}: the text format has no kappa")
             leaves = " ".join(str(q + 1) for q in gate.leaves)
             lines.append(f"MZROT {gate.theta!r} {leaves}")
         else:

@@ -80,8 +80,8 @@ class MultiZRot:
             raise ValueError("rotation needs at least one qubit")
         if len(set(self.leaves)) != len(self.leaves):
             raise ValueError("rotation qubits must be distinct")
-        if self.kappa not in (0, 1):
-            raise ValueError("kappa must be 0 or 1")
+        if type(self.kappa) is not int or self.kappa not in (0, 1):
+            raise ValueError(f"kappa must be the int 0 or 1, got {self.kappa!r}")
 
 
 Gate = SingleQubit | NamedGate | CzGate | MultiZRot

@@ -1,6 +1,6 @@
 """End-to-end executors: the hybrid (measurement-based rotations + unitary
-Clifford frame) runner, the pure-unitary reference runner, the per-step trace
-table, and the equivalence harness.
+Clifford frame) runner, the unitary reference (the hybrid trajectory whose
+outcomes are all 0), the per-step trace table, and the equivalence harness.
 
 Hybrid execution holds the circuit register only, with no appended ancilla,
 and runs in two phases.  Every rotation outcome has probability 1/2 whatever
@@ -10,10 +10,10 @@ touched, in a fixed order: per rotation an optional kappa bit, the
 measurement, and a reset draw when both ancilla reset branches are possible
 (`star.draw_rotation`); then one readout draw.  These are the draws the
 explicit star construction makes, so identical (seed, shot) pairs replay
-identically.  The state phase (`_trajectory`) draws nothing: it runs the
-gates, each rotation as `star.rotation_action`, for a given outcome bitset.
-A run computes one trajectory per distinct outcome pattern among its shots,
-one pattern at a time, and reads every shot of that pattern out of it.
+identically.  The state phase (`_trajectory`, the only gate loop) draws
+nothing: it runs the gates, each rotation as `star.rotation_action`, for a
+given outcome bitset; a run computes one trajectory per distinct outcome
+pattern among its shots, one pattern at a time, and reads its shots from it.
 """
 from __future__ import annotations
 
@@ -53,12 +53,12 @@ FIDELITY_BOUND = 1.0 - 1e-10
 class ExecutionConfig:
     """Knobs for a hybrid run.
 
-    kappa selects the ancilla preparation signs: "zero" uses each gate's own
-    value (default 0), "random" draws a fresh bit per rotation, or a list
-    fixes one value per rotation.  forced_outcomes pins every rotation's
-    measurement result (length must equal the rotation count).  List entries
-    must be the ints 0 and 1; `validate` rejects anything else before a run
-    starts.
+    kappa selects the ancilla preparation signs: "zero" uses each rotation's
+    own `MultiZRot.kappa` (default 0), the one place a per-rotation sign is
+    set, and "random" draws a fresh bit per rotation.  forced_outcomes pins
+    every rotation's measurement result (length must equal the rotation
+    count); its entries must be the ints 0 and 1.  `validate` rejects
+    anything else before a run starts.
     """
 
     mode: str = "hqcm"
@@ -67,7 +67,7 @@ class ExecutionConfig:
     trace: bool = False
     symbolic: bool = False
     forced_outcomes: list[int] | None = None
-    kappa: str | list[int] = "zero"
+    kappa: str = "zero"
     include_work_readout: bool = False
 
     def validate(self, circuit: Circuit) -> None:
@@ -79,19 +79,16 @@ class ExecutionConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.symbolic and self.shots > 1:
             raise ValueError("symbolic mode is single-shot")
-        if self.kappa not in ("zero", "random") and not isinstance(self.kappa, list):
-            raise ValueError(f"kappa must be 'zero', 'random' or a list of 0/1 per rotation, got {self.kappa!r}")
+        if self.kappa not in ("zero", "random"):
+            raise ValueError(f"kappa must be 'zero' or 'random' (per rotation: MultiZRot.kappa), got {self.kappa!r}")
         rotations = circuit.rotation_count()
         if self.forced_outcomes is not None and len(self.forced_outcomes) != rotations:
             raise ValueError(
                 f"forced_outcomes has {len(self.forced_outcomes)} entries for {rotations} rotations"
             )
-        if isinstance(self.kappa, list) and len(self.kappa) != rotations:
-            raise ValueError(f"kappa list has {len(self.kappa)} entries for {rotations} rotations")
-        for name, bits in (("forced_outcomes", self.forced_outcomes), ("kappa", self.kappa)):
-            for r, bit in enumerate(bits if isinstance(bits, (list, tuple)) else ()):
-                if type(bit) is not int or bit not in (0, 1):
-                    raise ValueError(f"{name}[{r}] must be the int 0 or 1, got {bit!r}")
+        for r, bit in enumerate(self.forced_outcomes or ()):
+            if type(bit) is not int or bit not in (0, 1):
+                raise ValueError(f"forced_outcomes[{r}] must be the int 0 or 1, got {bit!r}")
 
 
 @dataclass
@@ -205,24 +202,6 @@ def _bits_to_string(bits) -> str:
     return "".join(str(b) for b in bits)
 
 
-def _unitary_state(circuit: Circuit, initial: StateVector) -> StateVector:
-    """The register state after every gate runs as a unitary on the embedded
-    input `initial`."""
-    state = initial
-    for gate in circuit.gates:
-        if isinstance(gate, NamedGate):
-            state = apply_named(state, gate.q, gate.name, gate.phi)
-        elif isinstance(gate, SingleQubit):
-            state = apply_single_qubit(state, gate.q, BlochVector(gate.theta, gate.phi), gate.alpha)
-        elif isinstance(gate, CzGate):
-            state = apply_cz(state, gate.a, gate.b)
-        elif isinstance(gate, MultiZRot):
-            state = star.apply_multi_z_unitary(state, gate.leaves, gate.theta)
-        else:
-            raise ValueError(f"cannot execute {gate!r}")
-    return state
-
-
 def _distribution(circuit: Circuit, state: StateVector, include_work: bool = False) -> dict[str, float]:
     """Computational basis distribution over the logical qubits, or over the
     whole register with include_work; keys list qubits in ascending order."""
@@ -244,7 +223,7 @@ def run_unitary(
     include_work is set); bitstring keys list qubits in ascending index order.
     """
     circuit.validate()
-    state = _unitary_state(circuit, _embed_logical(circuit, initial_logical))
+    state = _unitary_state(_compile_flow(circuit), _embed_logical(circuit, initial_logical))
     return state, _distribution(circuit, state, include_work)
 
 
@@ -350,12 +329,7 @@ def _draw_outcomes(compiled: _CompiledFlow, config: ExecutionConfig, rng: Random
     outcomes = 0
     records: list[RotationRecord] = []
     for rotation, (_, gate, parity, _) in enumerate(compiled.notes):
-        if isinstance(config.kappa, list):
-            kappa = config.kappa[rotation]
-        elif config.kappa == "random":
-            kappa = rng.bit()
-        else:
-            kappa = gate.kappa
+        kappa = rng.bit() if config.kappa == "random" else gate.kappa
         forced = None if config.forced_outcomes is None else config.forced_outcomes[rotation]
         theta = tracker.adapt_angle(_bit(parity, outcomes), gate.theta)
         record = star.draw_rotation(gate.leaves, theta, kappa, rng, forced=forced, theta_requested=gate.theta)
@@ -388,8 +362,16 @@ def _trajectory(compiled: _CompiledFlow, outcomes: int, initial: StateVector) ->
     return state
 
 
+def _unitary_state(compiled: _CompiledFlow, initial: StateVector) -> StateVector:
+    """The register state after every gate runs as a unitary on the embedded
+    input `initial`: the trajectory whose rotation outcomes are all 0, since
+    its byproduct is the identity and it runs every angle and axis as given."""
+    return _trajectory(compiled, 0, initial)
+
+
 def _run_shots(
     circuit: Circuit,
+    compiled: _CompiledFlow,
     config: ExecutionConfig,
     initial: StateVector,
     reference: StateVector | None = None,
@@ -403,7 +385,6 @@ def _run_shots(
     bitset in first-seen order, and each group's trajectory, flow and
     fidelity are computed once, one group at a time.
     """
-    compiled = _compile_flow(circuit)
     patterns: dict[int, list[tuple[int, list[RotationRecord], float]]] = {}
     for shot in range(config.shots):
         rng = RandomSource(config.seed, shot)
@@ -444,7 +425,7 @@ def run_hqcm(
     circuit.validate()
     config = config or ExecutionConfig()
     config.validate(circuit)
-    return _run_shots(circuit, config, _embed_logical(circuit, initial_logical))
+    return _run_shots(circuit, _compile_flow(circuit), config, _embed_logical(circuit, initial_logical))
 
 
 def corrected_histogram(results: list[ShotResult]) -> dict[str, int]:
@@ -473,10 +454,11 @@ def run_both(
     """
     circuit.validate()
     config.validate(circuit)
+    compiled = _compile_flow(circuit)
     initial = _embed_logical(circuit, initial_logical)
-    unitary_state = _unitary_state(circuit, initial)
+    unitary_state = _unitary_state(compiled, initial)
     distribution = _distribution(circuit, unitary_state)
-    results = _run_shots(circuit, config, initial, reference=unitary_state)
+    results = _run_shots(circuit, compiled, config, initial, reference=unitary_state)
     shots = max(1, len(results))
     empirical = {k: v / shots for k, v in corrected_histogram(results).items()}
     tv = total_variation(empirical, distribution)
@@ -527,7 +509,7 @@ def verify_equivalence(
         if random_inputs or trial == 0:
             logical = _random_state(len(circuit.logicals), input_rng) if random_inputs else None
             initial = _embed_logical(circuit, logical)
-            reference = _unitary_state(circuit, initial)
+            reference = _unitary_state(compiled, initial)
         outcomes, _ = _draw_outcomes(compiled, config, RandomSource(seed, trial))
         corrected = _undo_byproduct(_trajectory(compiled, outcomes, initial), compiled.evaluate(outcomes))
         fidelities.append(fidelity(corrected, reference))
@@ -598,7 +580,7 @@ def results_to_json(
             "shots": config.shots,
             "seed": config.seed,
             "symbolic": config.symbolic,
-            "kappa": config.kappa if isinstance(config.kappa, str) else list(config.kappa),
+            "kappa": config.kappa,
             "include_work_readout": config.include_work_readout,
         },
         "circuit": {

@@ -91,8 +91,12 @@ class InfoFlowVector:
     def copy(self) -> "InfoFlowVector":
         return InfoFlowVector(list(self.x), list(self.z))
 
-    def is_numeric(self) -> bool:
-        return all(isinstance(c, int) for c in self.x + self.z)
+    def require_bits(self, purpose: str) -> None:
+        """Raise ValueError unless every component is 0 or 1, as in a flow evaluated for one shot."""
+        for part, values in (("x", self.x), ("z", self.z)):
+            for j, c in enumerate(values):
+                if not isinstance(c, int) or c not in (0, 1):
+                    raise ValueError(f"{purpose} needs an evaluated flow; qubit {j} has {part} = {c!r}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, InfoFlowVector):
@@ -233,7 +237,10 @@ def angle_parity(flow: InfoFlowVector, leaves: Sequence[int]):
 def adapt_rotation_angle(flow: InfoFlowVector, leaves: Sequence[int], theta: float) -> float:
     """Sign-adapt a multi-Z rotation angle under a bit-valued flow:
     theta -> (-1)^parity * theta."""
-    return adapt_angle(angle_parity(flow, leaves), theta)
+    parity = angle_parity(flow, leaves)
+    if not isinstance(parity, int) or parity not in (0, 1):
+        raise ValueError(f"angle adaptation needs an evaluated flow; parity on {tuple(leaves)} is {parity!r}")
+    return adapt_angle(parity, theta)
 
 
 def adapt_angle(parity: int, theta: float) -> float:
@@ -246,8 +253,12 @@ def adapt_axis(x: int, z: int, axis: BlochVector) -> BlochVector:
     """Axis a rotation must use when executed after byproduct X^x Z^z.
 
     Components map to ((-1)^z rx, (-1)^{x+z} ry, (-1)^x rz); the rotation
-    angle itself is unchanged.
+    angle itself is unchanged.  With x and z both even the byproduct is the
+    identity and `axis` itself comes back, with its own floats, so a
+    zero-parity gate builds the same matrix as the unitary run.
     """
+    if not (x | z) & 1:
+        return axis
     rx, ry, rz = axis.components()
     rx *= (-1) ** (z & 1)
     ry *= (-1) ** ((x ^ z) & 1)
@@ -265,8 +276,7 @@ def correct_readout(raw: Sequence[int], flow: InfoFlowVector) -> list[int]:
     to a diagonal readout)."""
     if len(raw) != flow.n:
         raise ValueError(f"expected {flow.n} readout bits, got {len(raw)}")
-    if not flow.is_numeric():
-        raise ValueError("readout correction needs a numeric flow; bind symbols first")
+    flow.require_bits("readout correction")
     return [(s ^ x) & 1 for s, x in zip(raw, flow.x)]
 
 
@@ -276,8 +286,7 @@ def byproduct_to_unitary(flow: InfoFlowVector) -> list[tuple[str, int]]:
     Applying the list twice returns any state to itself up to phase, so the
     same list also serves as the (phase-free) inverse in equivalence checks.
     """
-    if not flow.is_numeric():
-        raise ValueError("byproduct extraction needs a numeric flow")
+    flow.require_bits("byproduct extraction")
     gates: list[tuple[str, int]] = []
     for j in range(flow.n):
         if flow.x[j] & 1:

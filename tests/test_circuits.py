@@ -415,3 +415,10 @@ class TestParser:
         again = parse_circuit(serialize_circuit(circuit))
         assert again.gates == circuit.gates
         assert (again.num_logical, again.num_work) == (circuit.num_logical, circuit.num_work)
+
+    def test_serialize_refuses_what_text_cannot_express(self):
+        # parsing would move the works to 5, 6 and turn qubit 4 logical
+        with pytest.raises(ValueError, match="work qubits 4 5"):
+            serialize_circuit(triple_control_z_circuit())
+        with pytest.raises(ValueError, match="no kappa"):
+            serialize_circuit(Circuit(2, 0, [NamedGate(0, "H"), MultiZRot((0, 1), 0.3, kappa=1)]))

@@ -1,7 +1,11 @@
-"""Property tests over generated circuits: the text round trip, and hybrid
-execution against the unitary reference."""
+"""Property tests over generated circuits: the text round trip, the unitary
+run against the dense oracle, and hybrid execution against the unitary
+reference."""
 from dataclasses import replace
+from math import pi
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,10 +19,16 @@ from hqcsim.circuits import (
     expand_lambda2,
     expand_lambda_z_steps,
 )
-from hqcsim.runner import verify_equivalence
+from hqcsim.core import StateVector
+from hqcsim.runner import run_unitary, verify_equivalence
+
+import oracles
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=80)
-ANGLES = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False, allow_infinity=False)
+ANGLES = st.one_of(
+    st.sampled_from([0.0, pi, -pi, 2 * pi]),
+    st.floats(min_value=-20.0, max_value=20.0, allow_nan=False, allow_infinity=False),
+)
 
 
 @st.composite
@@ -38,22 +48,46 @@ def elementary_gate(draw, num_qubits: int):
         a, b = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
         return CzGate(a, b)
     leaves = draw(st.lists(qubit, min_size=1, max_size=min(3, num_qubits), unique=True))
-    return MultiZRot(tuple(leaves), draw(ANGLES))
+    return MultiZRot(tuple(leaves), draw(ANGLES), draw(st.integers(0, 1)))
 
 
 @st.composite
 def flat_circuit(draw):
+    """Elementary gates on a register whose work qubits sit anywhere."""
     num_logical, num_work = draw(st.integers(1, 4)), draw(st.integers(0, 2))
-    gates = draw(st.lists(elementary_gate(num_logical + num_work), max_size=12))
-    return Circuit(num_logical, num_work, gates)
+    num_qubits = num_logical + num_work
+    works = None
+    if num_work and draw(st.booleans()):
+        works = tuple(sorted(draw(st.permutations(range(num_qubits)))[:num_work]))
+    gates = draw(st.lists(elementary_gate(num_qubits), max_size=12))
+    return Circuit(num_logical, num_work, gates, work_qubits=works)
 
 
 @given(flat_circuit())
 @PROPERTY
 def test_text_round_trip_keeps_gates(circuit):
+    expressible = circuit.works == tuple(range(circuit.num_logical, circuit.num_qubits)) and not any(
+        isinstance(g, MultiZRot) and g.kappa for g in circuit.gates
+    )
+    if not expressible:
+        with pytest.raises(ValueError, match="cannot serialise"):
+            serialize_circuit(circuit)
+        return
     parsed = parse_circuit(serialize_circuit(circuit))
-    assert (parsed.num_logical, parsed.num_work) == (circuit.num_logical, circuit.num_work)
+    assert (parsed.num_logical, parsed.num_work, parsed.works) == (circuit.num_logical, circuit.num_work, circuit.works)
     assert parsed.gates == circuit.gates
+
+
+@given(flat_circuit(), st.integers(0, 2**16))
+@PROPERTY
+def test_run_unitary_matches_dense_oracle(circuit, seed):
+    # the unitary run is a hybrid trajectory, so this is what checks the
+    # shared gate kernels against code they share nothing with
+    logicals = circuit.logicals
+    psi = oracles.random_state(len(logicals), np.random.default_rng(seed))
+    state, _ = run_unitary(circuit, StateVector(len(logicals), psi))
+    expected = oracles.circuit_dense(circuit) @ oracles.embed_loop(psi, circuit.num_qubits, logicals)
+    assert np.max(np.abs(state.amplitudes - expected)) < 1e-10
 
 
 @st.composite

@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -282,10 +283,10 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "config, message",
         [
-            (ExecutionConfig(kappa="bogus"), "kappa must be 'zero', 'random' or a list"),
-            (ExecutionConfig(kappa=(0, 1)), "kappa must be 'zero', 'random' or a list"),
-            (ExecutionConfig(kappa=[2, 0]), r"kappa\[0\] must be the int 0 or 1, got 2"),
-            (ExecutionConfig(kappa=[0, True]), r"kappa\[1\] must be the int 0 or 1, got True"),
+            (ExecutionConfig(kappa="bogus"), "kappa must be 'zero' or 'random' .*, got 'bogus'"),
+            (ExecutionConfig(kappa=(0, 1)), r"kappa must be 'zero' or 'random' .*, got \(0, 1\)"),
+            (ExecutionConfig(kappa=[0, 1]), r"per rotation: MultiZRot.kappa\), got \[0, 1\]"),
+            (ExecutionConfig(forced_outcomes=[0]), "forced_outcomes has 1 entries for 2 rotations"),
             (ExecutionConfig(forced_outcomes=[True, 0]), r"forced_outcomes\[0\] must be the int 0 or 1, got True"),
             (ExecutionConfig(forced_outcomes=[0, 1.0]), r"forced_outcomes\[1\] must be the int 0 or 1, got 1.0"),
             (ExecutionConfig(forced_outcomes=[0, -1]), r"forced_outcomes\[1\] must be the int 0 or 1, got -1"),
@@ -299,6 +300,11 @@ class TestConfigValidation:
         for run in (lambda: run_hqcm(self.CIRCUIT, config), lambda: run_both(self.CIRCUIT, config)):
             with pytest.raises(ValueError, match=message):
                 run()
+
+    @pytest.mark.parametrize("kappa", [2, True, 1.0])
+    def test_gate_kappa_is_an_int_bit(self, kappa):
+        with pytest.raises(ValueError, match=f"kappa must be the int 0 or 1, got {kappa!r}"):
+            replace(self.CIRCUIT.gates[1], kappa=kappa)
 
 
 def logging_source(log: list):
@@ -341,10 +347,7 @@ def interleaved_shot(circuit, config, shot, initial, source):
             flow = propagate(flow, ("CZ", gate.a, gate.b))
         else:
             r = len(records)
-            if isinstance(config.kappa, list):
-                kappa = config.kappa[r]
-            else:
-                kappa = rng.bit() if config.kappa == "random" else gate.kappa
+            kappa = rng.bit() if config.kappa == "random" else gate.kappa
             forced = None if config.forced_outcomes is None else config.forced_outcomes[r]
             theta = tracker.adapt_angle(angle_parity(flow, gate.leaves), gate.theta)
             record = star.draw_rotation(gate.leaves, theta, kappa, rng, forced, gate.theta)
@@ -366,51 +369,53 @@ def special_angle_circuit() -> Circuit:
 class TestDrawThenTrajectory:
     CIRCUITS = [special_angle_circuit(), *(random_circuit(4, 12, np.random.default_rng(50 + k)) for k in range(3))]
 
-    def configs(self, circuit):
-        rotations = circuit.rotation_count()
-        bits = np.random.default_rng(rotations)
-        yield ExecutionConfig(shots=12, seed=3)
-        yield ExecutionConfig(shots=12, seed=4, kappa="random", include_work_readout=True)
-        yield ExecutionConfig(shots=12, seed=5, kappa=[int(b) for b in bits.integers(0, 2, rotations)])
-        yield ExecutionConfig(shots=12, seed=6, forced_outcomes=[int(b) for b in bits.integers(0, 2, rotations)])
-        yield ExecutionConfig(shots=12, seed=7, kappa="random", forced_outcomes=[1] * rotations)
+    def cases(self):
+        """(circuit, config) pairs; one gives every rotation its own kappa."""
+        for circuit in self.CIRCUITS:
+            rotations = circuit.rotation_count()
+            bits = np.random.default_rng(rotations)
+            kappas = iter(bits.integers(0, 2, rotations).tolist())
+            signed = [replace(g, kappa=next(kappas)) if isinstance(g, MultiZRot) else g for g in circuit.gates]
+            yield circuit, ExecutionConfig(shots=12, seed=3)
+            yield circuit, ExecutionConfig(shots=12, seed=4, kappa="random", include_work_readout=True)
+            yield replace(circuit, gates=signed), ExecutionConfig(shots=12, seed=5)
+            yield circuit, ExecutionConfig(shots=12, seed=6, forced_outcomes=bits.integers(0, 2, rotations).tolist())
+            yield circuit, ExecutionConfig(shots=12, seed=7, kappa="random", forced_outcomes=[1] * rotations)
 
     def test_draws_match_interleaved_rotations(self, monkeypatch):
-        for circuit in self.CIRCUITS:
-            for config in self.configs(circuit):
-                interleaved_log, run_log = [], []
-                initial = runner._embed_logical(circuit, None)
-                expected = [
-                    interleaved_shot(circuit, config, shot, initial, logging_source(interleaved_log))
-                    for shot in range(config.shots)
-                ]
-                monkeypatch.setattr(runner, "RandomSource", logging_source(run_log))
-                results = run_hqcm(circuit, config)
-                monkeypatch.undo()
-                assert run_log == interleaved_log
-                compiled = runner._compile_flow(circuit)
-                for result, (records, state, flow, index) in zip(results, expected):
-                    assert result.rotations == records
-                    assert result.flow == flow
-                    reported = result.reported_qubits
-                    assert result.raw == tuple((index >> q) & 1 for q in reported)
-                    assert result.corrected == tuple(((index >> q) ^ flow.x[q]) & 1 for q in reported)
-                    outcomes = sum(record.outcome << r for r, record in enumerate(records))
-                    trajectory = runner._trajectory(compiled, outcomes, initial)
-                    assert np.array_equal(trajectory.amplitudes, state.amplitudes)
+        for circuit, config in self.cases():
+            interleaved_log, run_log = [], []
+            initial = runner._embed_logical(circuit, None)
+            expected = [
+                interleaved_shot(circuit, config, shot, initial, logging_source(interleaved_log))
+                for shot in range(config.shots)
+            ]
+            monkeypatch.setattr(runner, "RandomSource", logging_source(run_log))
+            results = run_hqcm(circuit, config)
+            monkeypatch.undo()
+            assert run_log == interleaved_log
+            compiled = runner._compile_flow(circuit)
+            for result, (records, state, flow, index) in zip(results, expected):
+                assert result.rotations == records
+                assert result.flow == flow
+                reported = result.reported_qubits
+                assert result.raw == tuple((index >> q) & 1 for q in reported)
+                assert result.corrected == tuple(((index >> q) ^ flow.x[q]) & 1 for q in reported)
+                outcomes = sum(record.outcome << r for r, record in enumerate(records))
+                trajectory = runner._trajectory(compiled, outcomes, initial)
+                assert np.array_equal(trajectory.amplitudes, state.amplitudes)
 
     def test_both_mode_matches_per_shot_recomputation(self):
-        for circuit in self.CIRCUITS:
-            for config in self.configs(circuit):
-                results, reference, _, _ = run_both(circuit, config)
-                initial = runner._embed_logical(circuit, None)
-                for shot, result in enumerate(results):
-                    records, state, flow, index = interleaved_shot(circuit, config, shot, initial, core.RandomSource)
-                    for name, q in tracker.byproduct_to_unitary(flow):
-                        state = core.apply_named(state, q, name)
-                    assert result.fidelity == core.fidelity(state, reference)
-                    assert result.raw == tuple((index >> q) & 1 for q in result.reported_qubits)
-                    assert result.rotations == records
+        for circuit, config in self.cases():
+            results, reference, _, _ = run_both(circuit, config)
+            initial = runner._embed_logical(circuit, None)
+            for shot, result in enumerate(results):
+                records, state, flow, index = interleaved_shot(circuit, config, shot, initial, core.RandomSource)
+                for name, q in tracker.byproduct_to_unitary(flow):
+                    state = core.apply_named(state, q, name)
+                assert result.fidelity == core.fidelity(state, reference)
+                assert result.raw == tuple((index >> q) & 1 for q in result.reported_qubits)
+                assert result.rotations == records
 
     def test_one_trajectory_per_outcome_pattern(self, monkeypatch):
         calls = []
@@ -433,7 +438,8 @@ class TestDrawThenTrajectory:
         assert len(calls) == len(set(calls)) == len(distinct)
         calls.clear()
         run_both(circuit, ExecutionConfig(mode="both", shots=100, seed=3))
-        assert len(calls) == len(distinct)
+        # the unitary reference is one more trajectory, the all-zero pattern
+        assert len(calls) == len(distinct) + 1 and calls[0] == 0
 
     def test_wide_run_holds_few_states(self):
         # 14 rotations make 2^14 outcome patterns, so 32 shots all differ and
@@ -501,11 +507,11 @@ class TestEquivalence:
         with pytest.raises(ValueError, match="trials must be >= 1"):
             verify_equivalence(Circuit(1, 0, [NamedGate(0, "H")]), trials=0)
 
-    def test_kappa_list_applied(self):
-        circuit = Circuit(1, 0, [MultiZRot((0,), 0.4)])
-        results = run_hqcm(circuit, ExecutionConfig(kappa=[1], seed=0))
+    def test_gate_kappa_applied(self):
+        circuit = Circuit(1, 0, [MultiZRot((0,), 0.4, kappa=1)])
+        results = run_hqcm(circuit, ExecutionConfig(seed=0))
         assert results[0].rotations[0].kappa == 1
-        results, _, _, _ = run_both(circuit, ExecutionConfig(kappa=[1], seed=0, shots=5))
+        results, _, _, _ = run_both(circuit, ExecutionConfig(seed=0, shots=5))
         assert min(r.fidelity for r in results) >= 1 - 1e-10
 
 

@@ -267,6 +267,19 @@ def test_multi_z_unitary_bytes_match_bit_loop():
             assert np.array_equal(out.amplitudes, bit_loop_multi_z(StateVector(n, psi), leaves, theta).amplitudes)
 
 
+def test_zero_outcome_action_is_the_unitary_bit_for_bit():
+    # the runner's unitary reference is the trajectory whose outcomes are all
+    # 0, so rotation_action(theta, 0) must build apply_multi_z_unitary's phases
+    rng = np.random.default_rng(13)
+    grid = [*np.linspace(-4 * np.pi, 4 * np.pi, 161), np.pi, -np.pi, 2 * np.pi, np.pi / 2, 1e-300, -1e-300]
+    psi = oracles.random_state(4, rng)
+    for theta in grid:
+        leaves = tuple(int(q) for q in rng.choice(4, size=int(rng.integers(1, 5)), replace=False))
+        hybrid = rotation_action(StateVector(4, psi), leaves, float(theta), 0)
+        unitary = apply_multi_z_unitary(StateVector(4, psi), leaves, float(theta))
+        assert np.array_equal(hybrid.amplitudes, unitary.amplitudes), theta
+
+
 class TestFusedRotation:
     """The register-only rotation as the runner runs it, `draw_rotation` then
     `rotation_action`, against the explicit star construction and its reset."""

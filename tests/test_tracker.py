@@ -246,6 +246,11 @@ class TestAngleAdaptation:
         # the sign of a zero angle follows the rule too, so JSON writes -0.0
         assert str(adapt_angle(1, 0.0)) == "-0.0"
 
+    def test_unevaluated_parity_rejected(self):
+        # a multi-bit outcome bitset is a flow not yet evaluated for a shot
+        with pytest.raises(ValueError, match=r"parity on \(0,\) is 2"):
+            adapt_rotation_angle(InfoFlowVector([0b10], [0]), (0,), 0.5)
+
     def test_bitset_parity(self):
         flow = init_flow(5)
         flow.x[1], flow.x[3] = 0b011, 0b110
@@ -255,9 +260,14 @@ class TestAngleAdaptation:
 
 class TestAxisAdaptation:
     def test_identity(self):
-        axis = BlochVector(0.7, 1.2)
-        out = adapt_axis(0, 0, axis)
-        np.testing.assert_allclose(out.components(), axis.components(), atol=1e-12)
+        # the axis itself, not a re-derived one: atan2 would map these into
+        # other floats (phi outside (-pi, pi], negative theta), so the gate
+        # matrix would no longer be the unitary run's
+        rng = np.random.default_rng(4)
+        for theta, phi in [(0.7, 1.2), (0.7, 4.0), (-0.3, 1.2), (2.0, -3.5), *rng.uniform(-7, 7, size=(50, 2))]:
+            axis = BlochVector(theta, phi)
+            assert adapt_axis(0, 0, axis) == axis
+            assert adapt_axis(2, 0b110, axis) == axis
 
     def test_x_flips_z_axis(self):
         out = adapt_axis(1, 0, BlochVector(0, 0))
@@ -304,6 +314,10 @@ class TestReadoutCorrection:
         with pytest.raises(ValueError):
             correct_readout([0], init_flow(2))
 
+    def test_unevaluated_bitset_rejected(self):
+        with pytest.raises(ValueError, match="qubit 0 has x = 2"):
+            correct_readout([0], InfoFlowVector([0b10], [0]))
+
 
 class TestByproduct:
     def test_zero_flow_empty(self):
@@ -312,6 +326,10 @@ class TestByproduct:
     def test_x_then_z_order(self):
         flow = InfoFlowVector([1], [1])
         assert byproduct_to_unitary(flow) == [("X", 0), ("Z", 0)]
+
+    def test_unevaluated_bitset_rejected(self):
+        with pytest.raises(ValueError, match="qubit 0 has x = 2"):
+            byproduct_to_unitary(InfoFlowVector([0b10], [0b11]))
 
     def test_double_application_is_phase(self):
         rng = np.random.default_rng(3)
