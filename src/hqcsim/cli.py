@@ -84,6 +84,8 @@ def _write_outputs(text: str, results, out_path: str | None, csv_path: str | Non
 
 
 def _execute(circuit, args) -> int:
+    if args.mode == "unitary" and args.csv:
+        raise ValueError("--csv writes the shot histogram, but --mode unitary runs no shots")
     seed = args.seed if args.seed is not None else _default_seed()
     config = ExecutionConfig(
         mode=args.mode,
@@ -98,7 +100,7 @@ def _execute(circuit, args) -> int:
         config.validate(circuit)
         _, distribution = run_unitary(circuit, include_work=config.include_work_readout)
         text = results_to_json(circuit, config, [], unitary_distribution=distribution)
-        _write_outputs(text, [], args.out, args.csv)
+        _write_outputs(text, [], args.out, None)
         return 0
     if config.mode == "both":
         results, _, distribution, tv = run_both(circuit, config)

@@ -14,12 +14,23 @@ identically.  The state phase (`_trajectory`, the only gate loop) draws
 nothing: it runs the gates, each rotation as `star.rotation_action`, for a
 given outcome bitset; a run computes one trajectory per distinct outcome
 pattern among its shots, one pattern at a time, and reads its shots from it.
+
+`results_to_json` is a schema writer: it writes the exact bytes of
+`json.dumps(payload, sort_keys=True, indent=2)` straight from the
+`ShotResult`s, with no payload dicts, since `indent` sends `json` to its
+pure-Python encoder.  Fields go in sorted key order and are indented by
+depth, scalars are written as `json` writes them, and text shared within
+the call (a pattern's shots, a rotation's record, a trace's flow
+components) is rendered once.  The tests hold `json.dumps` on the dict
+payload as its oracle.
 """
 from __future__ import annotations
 
-import json
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
+from json.encoder import encode_basestring_ascii as _string_text
+from math import copysign, inf
 
 import numpy as np
 
@@ -112,20 +123,6 @@ class TraceTable:
     rows: list[TraceRow]
     blocks: dict[str, frozenset]
 
-    def to_records(self) -> list[dict]:
-        records = []
-        for row in self.rows:
-            records.append(
-                {
-                    "tau": row.tau,
-                    "i_x": [_component_record(c) for c in row.ix],
-                    "i_z": [_component_record(c) for c in row.iz],
-                    "angles": [{**a, "parity": _component_record(a["parity"])} for a in row.angles],
-                    "outcomes": row.outcomes,
-                }
-            )
-        return records
-
     def format_text(self) -> str:
         lines = []
         for row in self.rows:
@@ -140,10 +137,6 @@ class TraceTable:
                     cells.append(f"m{row.tau + 1} = " + "+".join(o["label"] for o in row.outcomes))
                 lines.append("  outcomes: " + "; ".join(cells))
         return "\n".join(lines) + "\n"
-
-
-def _component_record(component):
-    return component if isinstance(component, int) else str(component)
 
 
 def _kappa_suffix(outcome: dict) -> str:
@@ -383,13 +376,19 @@ def _run_shots(
     Each shot first makes all its draws on its own stream: its rotation
     outcomes, then the readout uniform.  Shots are then grouped by outcome
     bitset in first-seen order, and each group's trajectory, flow and
-    fidelity are computed once, one group at a time.
+    fidelity are computed once, one group at a time, as is the readout
+    correction of each readout index the group's shots pick.  Without
+    random kappa a group's rotation records are equal, so its shots share
+    the first shot's list; shots with the same readout share its tuples.
     """
     patterns: dict[int, list[tuple[int, list[RotationRecord], float]]] = {}
     for shot in range(config.shots):
         rng = RandomSource(config.seed, shot)
         outcomes, records = _draw_outcomes(compiled, config, rng)
-        patterns.setdefault(outcomes, []).append((shot, records, rng.random()))
+        group = patterns.setdefault(outcomes, [])
+        if group and config.kappa != "random":
+            records = group[0][1]
+        group.append((shot, records, rng.random()))
     results: list = [None] * config.shots
     reported = circuit.logicals if not config.include_work_readout else tuple(range(circuit.num_qubits))
     for outcomes, shots in patterns.items():
@@ -398,12 +397,16 @@ def _run_shots(
         shot_fidelity = None if reference is None else fidelity(_undo_byproduct(state, flow), reference)
         indices = pick_index(np.cumsum(state.probabilities()), np.array([u for *_, u in shots]))
         del state  # so that the next pattern's trajectory is the only state alive
+        readouts: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         for (shot, records, _), index in zip(shots, indices.tolist()):
-            raw_full = [(index >> q) & 1 for q in range(circuit.num_qubits)]
-            corrected_full = tracker.correct_readout(raw_full, flow)
+            if index not in readouts:
+                raw_full = [(index >> q) & 1 for q in range(circuit.num_qubits)]
+                corrected_full = tracker.correct_readout(raw_full, flow)
+                readouts[index] = (tuple(raw_full[q] for q in reported), tuple(corrected_full[q] for q in reported))
+            raw, corrected = readouts[index]
             results[shot] = ShotResult(
-                raw=tuple(raw_full[q] for q in reported),
-                corrected=tuple(corrected_full[q] for q in reported),
+                raw=raw,
+                corrected=corrected,
                 flow=flow,
                 rotations=records,
                 reported_qubits=reported,
@@ -430,9 +433,9 @@ def run_hqcm(
 
 def corrected_histogram(results: list[ShotResult]) -> dict[str, int]:
     histogram: dict[str, int] = {}
-    for result in results:
-        key = _bits_to_string(result.corrected)
-        histogram[key] = histogram.get(key, 0) + 1
+    for bits, count in Counter(result.corrected for result in results).items():
+        key = _bits_to_string(bits)
+        histogram[key] = histogram.get(key, 0) + count
     return histogram
 
 
@@ -573,47 +576,176 @@ def results_to_json(
     unitary_distribution: dict[str, float] | None = None,
     tv_distance: float | None = None,
 ) -> str:
-    """Canonical JSON for a run; identical inputs yield identical bytes."""
-    payload: dict = {
-        "config": {
-            "mode": config.mode,
-            "shots": config.shots,
-            "seed": config.seed,
-            "symbolic": config.symbolic,
-            "kappa": config.kappa,
-            "include_work_readout": config.include_work_readout,
-        },
-        "circuit": {
-            "num_logical": circuit.num_logical,
-            "num_work": circuit.num_work,
-            "num_gates": len(circuit.gates),
-            "tau_max": circuit.tau_max,
-        },
-        "shots": [
-            {
-                "s": _bits_to_string(r.raw),
-                "s_corrected": _bits_to_string(r.corrected),
-                "outcomes": [
-                    {
-                        "leaves": [q + 1 for q in record.leaves],
-                        "m": record.outcome,
-                        "kappa": record.kappa,
-                        "theta_requested": record.theta_requested,
-                        "theta_executed": record.theta_executed,
-                    }
-                    for record in r.rotations
-                ],
-            }
-            for r in results
-        ],
-        "histogram": corrected_histogram(results),
-    }
+    """Canonical JSON for a run; identical inputs yield identical bytes.
+
+    The text is `json.dumps(payload, sort_keys=True, indent=2) + "\n"` of the
+    run's payload, written field by field from the results (see the module
+    docstring).  `results` must come from one run of `circuit`: rotation r
+    of every shot is then the same gate.
+    """
+    fields = [
+        ("circuit", _object(2, [
+            ("num_gates", _scalar(len(circuit.gates))),
+            ("num_logical", _scalar(circuit.num_logical)),
+            ("num_work", _scalar(circuit.num_work)),
+            ("tau_max", _scalar(circuit.tau_max)),
+        ])),
+        ("config", _object(2, [
+            ("include_work_readout", _scalar(config.include_work_readout)),
+            ("kappa", _scalar(config.kappa)),
+            ("mode", _scalar(config.mode)),
+            ("seed", _scalar(config.seed)),
+            ("shots", _scalar(config.shots)),
+            ("symbolic", _scalar(config.symbolic)),
+        ])),
+    ]
     if results and results[0].fidelity is not None:
-        payload["fidelities"] = [r.fidelity for r in results]
+        fields.append(("fidelities", _array(2, [_scalar(r.fidelity) for r in results])))
+    fields.append(("histogram", _mapping(2, corrected_histogram(results))))
+    fields.append(("shots", _shots_text(results)))
     if results and results[0].trace is not None:
-        payload["trace"] = results[0].trace.to_records()
-    if unitary_distribution is not None:
-        payload["unitary"] = {"distribution": unitary_distribution}
+        fields.append(("trace", _trace_text(results[0].trace)))
     if tv_distance is not None:
-        payload["tv_distance"] = tv_distance
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        fields.append(("tv_distance", _scalar(tv_distance)))
+    if unitary_distribution is not None:
+        fields.append(("unitary", _object(2, [("distribution", _mapping(3, unitary_distribution))])))
+    return _object(1, fields) + "\n"
+
+
+def _scalar(value) -> str:
+    """One JSON scalar as `json` writes it: bool before int, floats by
+    `float.__repr__` and the non-finite ones as NaN/Infinity."""
+    if isinstance(value, str):
+        return _string_text(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == inf:
+            return "Infinity"
+        if value == -inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _array(depth: int, items: list[str]) -> str:
+    """A JSON array of rendered items, the items indented `depth` levels."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * depth
+    return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
+
+
+def _object(depth: int, fields: list[tuple[str, str]]) -> str:
+    """A JSON object of (key, rendered value) fields given in sorted key
+    order, the fields indented `depth` levels."""
+    if not fields:
+        return "{}"
+    pad = "\n" + "  " * depth
+    return "{" + pad + ("," + pad).join(f"{_string_text(k)}: {v}" for k, v in fields) + pad[:-2] + "}"
+
+
+def _mapping(depth: int, mapping: dict) -> str:
+    """A str-keyed dict of scalars, keys sorted as `sort_keys` sorts them."""
+    return _object(depth, [(k, _scalar(v)) for k, v in sorted(mapping.items())])
+
+
+def _template(depth: int, *keys: str) -> str:
+    """An object with the given keys, listed in sorted order, whose values
+    are %s slots, the fields indented `depth` levels."""
+    return _object(depth, [(key, "%s") for key in keys])
+
+
+_SHOT = _template(3, "outcomes", "s", "s_corrected")
+_RECORD = _template(5, "kappa", "leaves", "m", "theta_executed", "theta_requested")
+_TRACE_ROW = _template(3, "angles", "i_x", "i_z", "outcomes", "tau")
+_ANGLE_NOTE = _template(5, "parity", "rotation", "sign")
+_OUTCOME_NOTE = _template(5, "kappa", "label", "rotation", "value")
+
+
+def _shots_text(results: list[ShotResult]) -> str:
+    """The `shots` array.
+
+    A pattern's shots share their rotation list and their raw/corrected
+    tuples (`_run_shots`), so each distinct (rotations, raw, corrected)
+    object triple is rendered once, keyed by identity while `results` keeps
+    the objects alive.  Each rotation record is rendered once per (rotation
+    index, m, kappa, executed sign), and each rotation's leaves and requested
+    angle once.
+    """
+    statics: dict[int, tuple[str, str]] = {}
+    records: dict[tuple, str] = {}
+    blocks: dict[int, str] = {}
+    shots: dict[tuple[int, int, int], str] = {}
+
+    def record_text(r: int, record: RotationRecord) -> str:
+        # the executed angle is the requested one or its negation; its sign,
+        # not its value, goes in the key, since 0.0 == -0.0 would merge a
+        # zero angle executed at odd parity (-0.0) with the one at even parity
+        key = (r, record.outcome, record.kappa, copysign(1.0, record.theta_executed))
+        text = records.get(key)
+        if text is None:
+            static = statics.get(r)
+            if static is None:
+                leaves = _array(6, [_scalar(q + 1) for q in record.leaves])
+                static = statics[r] = (leaves, _scalar(record.theta_requested))
+            leaves, requested = static
+            executed = requested if record.theta_executed is record.theta_requested else _scalar(record.theta_executed)
+            text = records[key] = _RECORD % (_scalar(record.kappa), leaves, _scalar(record.outcome), executed, requested)
+        return text
+
+    items = []
+    for result in results:
+        key = (id(result.rotations), id(result.raw), id(result.corrected))
+        text = shots.get(key)
+        if text is None:
+            block = blocks.get(key[0])
+            if block is None:
+                block = blocks[key[0]] = _array(4, [record_text(r, rec) for r, rec in enumerate(result.rotations)])
+            raw, corrected = _bits_to_string(result.raw), _bits_to_string(result.corrected)
+            text = shots[key] = _SHOT % (block, _scalar(raw), _scalar(corrected))
+        items.append(text)
+    return _array(2, items)
+
+
+def _trace_text(trace: TraceTable) -> str:
+    """The `trace` array: per row its angle notes, flow and outcome notes.
+
+    A bit component is a JSON number and a symbolic one a string.  The
+    symbolic renderer returns one object per distinct component, so each is
+    rendered once, keyed by identity while the trace keeps it alive.
+    """
+    texts: dict[int, str] = {}
+
+    def component(c) -> str:
+        text = texts.get(id(c))
+        if text is None:
+            text = texts[id(c)] = _scalar(c) if isinstance(c, int) else _string_text(str(c))
+        return text
+
+    def angle(note: dict) -> str:
+        return _ANGLE_NOTE % (component(note["parity"]), _scalar(note["rotation"]), _scalar(note["sign"]))
+
+    def outcome(note: dict) -> str:
+        return _OUTCOME_NOTE % (
+            _scalar(note["kappa"]), _scalar(note["label"]), _scalar(note["rotation"]), _scalar(note["value"])
+        )
+
+    return _array(2, [
+        _TRACE_ROW % (
+            _array(4, [angle(a) for a in row.angles]),
+            _array(4, [component(c) for c in row.ix]),
+            _array(4, [component(c) for c in row.iz]),
+            _array(4, [outcome(o) for o in row.outcomes]),
+            _scalar(row.tau),
+        )
+        for row in trace.rows
+    ])

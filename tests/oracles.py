@@ -1,10 +1,13 @@
-"""Independent dense-matrix reference implementations for the tests.
+"""Independent reference implementations for the tests.
 
-Everything here is built from explicit kron products and diagonals so the
-checks do not share code paths with the package's tensor-contraction engine.
-Qubit 0 is the least significant bit of the basis index, matching the package
-convention, so the kron chain runs from the highest qubit down to qubit 0.
+The state references are built from explicit kron products and diagonals so
+the checks do not share code paths with the package's tensor-contraction
+engine.  Qubit 0 is the least significant bit of the basis index, matching the
+package convention, so the kron chain runs from the highest qubit down to
+qubit 0.  The run-JSON reference builds the payload as plain dicts and hands
+it to `json.dumps`, the encoder the package's schema writer must match.
 """
+import json
 from functools import reduce
 from math import cos, sin, sqrt
 
@@ -184,3 +187,77 @@ def _basis(dim: int, j: int) -> np.ndarray:
     v = np.zeros(dim, dtype=complex)
     v[j] = 1
     return v
+
+
+def run_json(circuit, config, results, unitary_distribution=None, tv_distance=None) -> str:
+    """`runner.results_to_json`'s bytes the plain way: the payload as dicts,
+    then `json.dumps(sort_keys=True, indent=2)`."""
+
+    def bits(values) -> str:
+        return "".join(str(b) for b in values)
+
+    histogram: dict[str, int] = {}
+    for r in results:
+        histogram[bits(r.corrected)] = histogram.get(bits(r.corrected), 0) + 1
+    payload: dict = {
+        "config": {
+            "mode": config.mode,
+            "shots": config.shots,
+            "seed": config.seed,
+            "symbolic": config.symbolic,
+            "kappa": config.kappa,
+            "include_work_readout": config.include_work_readout,
+        },
+        "circuit": {
+            "num_logical": circuit.num_logical,
+            "num_work": circuit.num_work,
+            "num_gates": len(circuit.gates),
+            "tau_max": circuit.tau_max,
+        },
+        "shots": [
+            {
+                "s": bits(r.raw),
+                "s_corrected": bits(r.corrected),
+                "outcomes": [
+                    {
+                        "leaves": [q + 1 for q in record.leaves],
+                        "m": record.outcome,
+                        "kappa": record.kappa,
+                        "theta_requested": record.theta_requested,
+                        "theta_executed": record.theta_executed,
+                    }
+                    for record in r.rotations
+                ],
+            }
+            for r in results
+        ],
+        "histogram": histogram,
+    }
+    if results and results[0].fidelity is not None:
+        payload["fidelities"] = [r.fidelity for r in results]
+    if results and results[0].trace is not None:
+        payload["trace"] = trace_records(results[0].trace)
+    if unitary_distribution is not None:
+        payload["unitary"] = {"distribution": unitary_distribution}
+    if tv_distance is not None:
+        payload["tv_distance"] = tv_distance
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def trace_records(trace) -> list[dict]:
+    """A `TraceTable` as the list of row dicts the run JSON holds."""
+    return [
+        {
+            "tau": row.tau,
+            "i_x": [component_record(c) for c in row.ix],
+            "i_z": [component_record(c) for c in row.iz],
+            "angles": [{**a, "parity": component_record(a["parity"])} for a in row.angles],
+            "outcomes": row.outcomes,
+        }
+        for row in trace.rows
+    ]
+
+
+def component_record(component):
+    """A flow component in JSON: a bit as itself, an expression as text."""
+    return component if isinstance(component, int) else str(component)

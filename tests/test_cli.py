@@ -196,6 +196,21 @@ def test_bad_run_config_exits_one_in_every_mode(tmp_path, capsys, mode, flags, m
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("command", [["run", "{path}"], ["grover", "--n", "2", "--marked", "1"]])
+def test_unitary_mode_rejects_csv(tmp_path, capsys, monkeypatch, command):
+    # unitary mode has no shots to count, so the CSV would be a bare header
+    def no_state_work(*args, **kwargs):
+        raise AssertionError("ran the circuit")
+
+    monkeypatch.setattr(cli, "run_unitary", no_state_work)
+    path, csv_path = write_circuit(tmp_path, "qubits 2\nH 1\n"), tmp_path / "hist.csv"
+    args = [a.format(path=path) for a in command] + ["--mode", "unitary", "--csv", str(csv_path)]
+    assert cli.main(args) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: --csv writes the shot histogram, but --mode unitary runs no shots\n")
+    assert not csv_path.exists()
+
+
 @pytest.mark.parametrize("value", ["abc", "-4", ""])
 @pytest.mark.parametrize("command", [["run", "{path}"], ["run", "{path}", "--mode", "unitary"], ["verify", "{path}"],
                                      ["grover", "--n", "2", "--marked", "1"], ["table1"]])

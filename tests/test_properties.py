@@ -1,6 +1,6 @@
 """Property tests over generated circuits: the text round trip, the unitary
-run against the dense oracle, and hybrid execution against the unitary
-reference."""
+run against the dense oracle, hybrid execution against the unitary
+reference, and the run JSON's schema writer against `json.dumps`."""
 from dataclasses import replace
 from math import pi
 
@@ -20,7 +20,7 @@ from hqcsim.circuits import (
     expand_lambda_z_steps,
 )
 from hqcsim.core import StateVector
-from hqcsim.runner import run_unitary, verify_equivalence
+from hqcsim.runner import ExecutionConfig, results_to_json, run_both, run_hqcm, run_unitary, verify_equivalence
 
 import oracles
 
@@ -119,3 +119,26 @@ def block_circuit(draw):
 def test_hybrid_matches_unitary_with_work_qubits_and_kappa(circuit, seed, random_inputs):
     report = verify_equivalence(circuit, trials=2, seed=seed, random_inputs=random_inputs)
     assert report.passed, report.fidelities
+
+
+@given(flat_circuit(), st.integers(0, 2**16), st.data())
+@PROPERTY
+def test_run_json_matches_json_dumps(circuit, seed, data):
+    rotations = circuit.rotation_count()
+    symbolic = data.draw(st.booleans())
+    config = ExecutionConfig(
+        mode=data.draw(st.sampled_from(["hqcm", "both"])),
+        shots=1 if symbolic else data.draw(st.integers(1, 8)),
+        seed=seed,
+        trace=data.draw(st.booleans()),
+        symbolic=symbolic,
+        kappa=data.draw(st.sampled_from(["zero", "random"])),
+        include_work_readout=data.draw(st.booleans()),
+        forced_outcomes=data.draw(st.none() | st.lists(st.integers(0, 1), min_size=rotations, max_size=rotations)),
+    )
+    if config.mode == "both":
+        results, _, distribution, tv = run_both(circuit, config)
+        extra = (distribution, tv)
+    else:
+        results, extra = run_hqcm(circuit, config), ()
+    assert results_to_json(circuit, config, results, *extra) == oracles.run_json(circuit, config, results, *extra)
