@@ -8,7 +8,8 @@ Conventions used throughout the package:
   Only this module turns that into array layout: every state kernel and
   `star`'s parity masks address qubit q through `_bit_view`, a (high bits,
   bit q, low bits) view of the amplitudes, and `embed_logical` and
-  `logical_marginal` place a circuit's logical qubits among its work qubits.
+  `logical_marginal` place a circuit's logical qubits among its work qubits,
+  and `xor_permuted` relabels the basis as a Pauli X frame does.
 - Global phase is never normalised away; states are compared with `fidelity`.
 - Every public operation returns a fresh, normalised StateVector; the input is
   never mutated.
@@ -95,25 +96,58 @@ class MeasurementSpec:
     basis: BlochVector
 
 
+def check_seed(value: int, name: str = "seed") -> None:
+    """Reject a seed (or stream index) that is not one 64-bit word of a
+    Philox key, before any draw is made with it."""
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+    if value >= 1 << 64:
+        raise ValueError(f"{name} must be below 2**64, got {value}")
+
+
+_NO_WORDS = np.zeros(4, dtype=np.uint64)
+
+
 class RandomSource:
     """Counter-based random stream keyed by (seed, stream).
 
-    Uses the Philox bit generator, so identical (seed, stream) pairs produce
-    identical draw sequences regardless of platform or of how many other
-    streams were consumed: independent shots can share a seed and differ only
-    in the stream index.
+    Uses the Philox bit generator keyed by the two 64-bit words [seed,
+    stream], so identical (seed, stream) pairs produce identical draw
+    sequences regardless of platform or of how many other streams were
+    consumed: independent shots can share a seed and differ only in the
+    stream index.  `restart` re-keys the same bit generator to another
+    stream of the seed, so a run builds one generator, not one per shot.
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        if seed < 0 or stream < 0:
-            raise ValueError("seed and stream must be non-negative")
+        check_seed(seed)
         self.seed = seed
+        self._bits = np.random.Philox(key=0)
+        self._gen = np.random.Generator(self._bits)
+        self.restart(stream)
+
+    def restart(self, stream: int) -> None:
+        """Rewind to the first draw of stream `stream` of this seed: the
+        state a fresh RandomSource(seed, stream) starts in."""
+        check_seed(stream, "stream")
         self.stream = stream
-        self._gen = np.random.Generator(np.random.Philox(key=[seed, stream]))
+        self._bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _NO_WORDS, "key": np.array([self.seed, stream], dtype=np.uint64)},
+            "buffer": _NO_WORDS,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
     def random(self) -> float:
         """Uniform draw in [0, 1)."""
         return float(self._gen.random())
+
+    def uniforms(self, count: int) -> np.ndarray:
+        """The next `count` uniform draws in [0, 1) as one array: the same
+        numbers, in order, as `count` calls of `random`."""
+        return self._gen.random(count)
 
     def bit(self) -> int:
         return int(self._gen.integers(0, 2))
@@ -331,6 +365,17 @@ def logical_marginal(probs: np.ndarray, num_qubits: int, logicals: tuple[int, ..
     `logicals`, indexed like `embed_logical`'s psi."""
     works = tuple(num_qubits - 1 - q for q in range(num_qubits) if q not in logicals)
     return probs.reshape((2,) * num_qubits).sum(axis=works).reshape(-1)
+
+
+def xor_permuted(values: np.ndarray, mask: int) -> np.ndarray:
+    """values[i ^ mask] for every index i of a register-indexed array: the
+    array read with each qubit in `mask` flipped, as an X on those qubits
+    moves probability.  Mask 0 returns `values` itself."""
+    if not mask:
+        return values
+    num_qubits = values.size.bit_length() - 1
+    flipped = tuple(num_qubits - 1 - q for q in range(num_qubits) if mask >> q & 1)
+    return np.flip(values.reshape((2,) * num_qubits), flipped).reshape(-1)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

@@ -5,15 +5,25 @@ outcomes are all 0), the per-step trace table, and the equivalence harness.
 Hybrid execution holds the circuit register only, with no appended ancilla,
 and runs in two phases.  Every rotation outcome has probability 1/2 whatever
 the register state, so the draw phase (`_draw_outcomes`) makes all of a
-shot's random draws from its own (seed, shot) stream before any amplitude is
-touched, in a fixed order: per rotation an optional kappa bit, the
-measurement, and a reset draw when both ancilla reset branches are possible
-(`star.draw_rotation`); then one readout draw.  These are the draws the
-explicit star construction makes, so identical (seed, shot) pairs replay
-identically.  The state phase (`_trajectory`, the only gate loop) draws
-nothing: it runs the gates, each rotation as `star.rotation_action`, for a
-given outcome bitset; a run computes one trajectory per distinct outcome
-pattern among its shots, one pattern at a time, and reads its shots from it.
+shot's random draws before any amplitude is touched, on stream s (the shot)
+of the run's one re-keyed `RandomSource`, in a fixed order: per rotation an
+optional kappa bit, the measurement, and a reset draw when both ancilla
+reset branches are possible (`star.draw_rotation`); then one readout draw.
+These are the draws the explicit star construction makes, so identical
+(seed, shot) pairs replay identically.  Whether a rotation's reset draws
+depends on |theta| alone, so without random kappa the position of every
+draw is fixed for the run (`_draw_slots`): a shot is one array of uniforms,
+and each rotation's outcome and angle sign are read from it afterwards.
+
+The state phase (`_trajectory`, the only gate loop) draws nothing: it runs
+the gates, each rotation as `star.rotation_action`, for a given outcome
+bitset.  Two outcome patterns m and m0 leave states that differ by the Pauli
+byproduct X^(x(m) ^ x(m0)) Z^(...) up to a global phase, x being the flow
+vector's x part, so an hqcm run computes one trajectory, its first shot's,
+and reads every other pattern out of the same probabilities with each index
+XORed by x(m) ^ x(m0): a Pauli frame, as Stim samples (Gidney,
+arXiv:2103.02202).  `run_both` and `verify_equivalence` are the check of
+that claim, and run one trajectory per pattern or trial.
 
 `results_to_json` is a schema writer: it writes the exact bytes of
 `json.dumps(payload, sort_keys=True, indent=2)` straight from the
@@ -37,7 +47,7 @@ import numpy as np
 from . import star, tracker
 from .circuits import Circuit, CzGate, Gate, MultiZRot, NamedGate, SingleQubit
 from .core import BlochVector, RandomSource, StateVector, apply_cz, apply_named, apply_single_qubit, fidelity
-from .core import embed_logical, logical_marginal, make_basis_state, pick_index
+from .core import check_seed, embed_logical, logical_marginal, make_basis_state, pick_index, xor_permuted
 from .star import RotationRecord
 from .tracker import Gf2Expr, InfoFlowVector, render_component, render_flow
 
@@ -86,8 +96,7 @@ class ExecutionConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        check_seed(self.seed)
         if self.symbolic and self.shots > 1:
             raise ValueError("symbolic mode is single-shot")
         if self.kappa not in ("zero", "random"):
@@ -236,12 +245,14 @@ class _CompiledFlow:
     each gate with the bitsets its execution reads: the angle parity for RZ
     and MZROT, the qubit's (x, z) for SQ.  `rows` holds the flow after each
     step, row 0 being the all-zero start; `notes` holds (row, gate, angle
-    parity, label) per rotation.
+    parity, label) per rotation, and `resets` whether the rotation's ancilla
+    reset makes a draw (`star.reset_draws`), which depends on |theta| only.
     """
 
     plan: list[tuple[Gate, object]]
     rows: list[tuple[list[int], list[int]]]
     notes: list[tuple[int, MultiZRot, int, str]]
+    resets: list[bool]
     blocks: dict[str, frozenset]
     final: InfoFlowVector
 
@@ -279,7 +290,7 @@ def _compile_flow(circuit: Circuit) -> _CompiledFlow:
     """Push a flow of outcome bitsets through the tracker rules once, with
     rotation r absorbing the bitset 1 << r."""
     flow = tracker.init_flow(circuit.num_qubits)
-    compiled = _CompiledFlow([], [(flow.x, flow.z)], [], {}, flow)
+    compiled = _CompiledFlow([], [(flow.x, flow.z)], [], [], {}, flow)
     for step_pos, group in enumerate(circuit.step_groups(), start=1):
         step_gates = [circuit.gates[i] for i in group]
         rotations_in_step = sum(1 for g in step_gates if isinstance(g, MultiZRot))
@@ -301,6 +312,7 @@ def _compile_flow(circuit: Circuit) -> _CompiledFlow:
                 labels.append(label)
                 rotation = len(compiled.notes)
                 compiled.notes.append((step_pos - 1, gate, reads, label))
+                compiled.resets.append(star.reset_draws(gate.theta))
                 flow = tracker.absorb_rotation_outcome(flow, gate.leaves, 1 << rotation)
             else:
                 raise ValueError(f"cannot execute {gate!r}")
@@ -312,23 +324,68 @@ def _compile_flow(circuit: Circuit) -> _CompiledFlow:
     return compiled
 
 
-def _draw_outcomes(compiled: _CompiledFlow, config: ExecutionConfig, rng: RandomSource):
-    """A shot's rotation outcomes as a bitset, and its rotation records.
+def _draw_slots(compiled: _CompiledFlow, config: ExecutionConfig) -> tuple[np.ndarray, int, int]:
+    """Where a shot's draws fall when kappa is not random, as fixed for the
+    whole run: the position of each rotation's measurement uniform (none
+    when the outcomes are forced), the forced outcomes as a bitset, and the
+    position of the readout uniform, which is also the count of the
+    rotations' draws."""
+    slots, position = [], 0
+    for reset in compiled.resets:
+        if config.forced_outcomes is None:
+            slots.append(position)
+            position += 1
+        position += reset
+    forced = sum(bit << r for r, bit in enumerate(config.forced_outcomes or ()))
+    return np.array(slots, dtype=np.intp), forced, position
 
-    Per rotation this draws from `rng` in order: the kappa bit when kappa is
-    "random", then `star.draw_rotation`'s measurement and reset draws.  Each
-    angle's sign needs only earlier outcomes, so no state is involved.
+
+def _draw_outcomes(compiled: _CompiledFlow, config: ExecutionConfig):
+    """Yield (shot, outcome bitset, rotation records, readout uniform) for
+    every shot of a run, in shot order.
+
+    Shot s draws on stream s of the run's one `RandomSource`, in the order
+    the explicit star construction would: per rotation an optional kappa bit,
+    the measurement unless forced, and a reset draw when `reset_draws`; then
+    the readout.  Without random kappa these draws fall in fixed slots
+    (`_draw_slots`), so a shot is one array of uniforms, outcome r is
+    `u[slot_r] >= 0.5` as in `star.draw_rotation`, and the records are left
+    to the caller (None), since a pattern's records are all equal.  A random
+    kappa bit is drawn through `integers`, which uses the stream
+    differently, so then each rotation draws in turn through
+    `star.draw_rotation`.
     """
-    outcomes = 0
-    records: list[RotationRecord] = []
-    for rotation, (_, gate, parity, _) in enumerate(compiled.notes):
-        kappa = rng.bit() if config.kappa == "random" else gate.kappa
-        forced = None if config.forced_outcomes is None else config.forced_outcomes[rotation]
-        theta = tracker.adapt_angle(_bit(parity, outcomes), gate.theta)
-        record = star.draw_rotation(gate.leaves, theta, kappa, rng, forced=forced, theta_requested=gate.theta)
-        records.append(record)
-        outcomes |= record.outcome << rotation
-    return outcomes, records
+    rng = RandomSource(config.seed)
+    if config.kappa == "random":
+        for shot in range(config.shots):
+            rng.restart(shot)
+            outcomes, records = 0, []
+            for rotation, (_, gate, parity, _) in enumerate(compiled.notes):
+                kappa = rng.bit()
+                forced = None if config.forced_outcomes is None else config.forced_outcomes[rotation]
+                theta = tracker.adapt_angle(_bit(parity, outcomes), gate.theta)
+                record = star.draw_rotation(gate.leaves, theta, kappa, rng, forced=forced, theta_requested=gate.theta)
+                records.append(record)
+                outcomes |= record.outcome << rotation
+            yield shot, outcomes, records, rng.random()
+        return
+    slots, forced, readout = _draw_slots(compiled, config)
+    for shot in range(config.shots):
+        rng.restart(shot)
+        u = rng.uniforms(readout + 1)
+        measured = np.packbits(u[slots] >= 0.5, bitorder="little").tobytes()
+        yield shot, forced | int.from_bytes(measured, "little"), None, float(u[readout])
+
+
+def _rotation_records(compiled: _CompiledFlow, outcomes: int) -> list[RotationRecord]:
+    """The rotation records of a shot whose outcomes are the bits of
+    `outcomes`, each with its gate's own kappa and the angle sign that the
+    rotation's compiled parity bitset sets."""
+    return [
+        RotationRecord(gate.theta, tracker.adapt_angle(_bit(parity, outcomes), gate.theta), gate.kappa,
+                       outcomes >> r & 1, gate.leaves)
+        for r, (_, gate, parity, _) in enumerate(compiled.notes)
+    ]
 
 
 def _trajectory(compiled: _CompiledFlow, outcomes: int, initial: StateVector) -> StateVector:
@@ -362,6 +419,47 @@ def _unitary_state(compiled: _CompiledFlow, initial: StateVector) -> StateVector
     return _trajectory(compiled, 0, initial)
 
 
+def _uniforms(shots: list[tuple[int, list[RotationRecord] | None, float]]) -> np.ndarray:
+    return np.array([u for *_, u in shots])
+
+
+def _frame_readouts(compiled: _CompiledFlow, patterns: dict, initial: StateVector):
+    """Yield (outcomes, flow, readout indices, None) per outcome pattern,
+    from one trajectory.
+
+    The state of pattern m is the unitary output under the byproduct
+    X^x(m) Z^z(m), up to a global phase, so its readout probabilities are
+    another pattern m0's with each index XORed by x(m) ^ x(m0).  The first
+    pattern runs as a real trajectory, star rotations included, and every
+    pattern reads out through its Pauli frame on that one: patterns are
+    grouped by that shift, and one shifted cumulative is alive at a time.
+    """
+    flows = {outcomes: compiled.evaluate(outcomes) for outcomes in patterns}
+    masks = {outcomes: sum(bit << q for q, bit in enumerate(flow.x)) for outcomes, flow in flows.items()}
+    first = next(iter(patterns))
+    shifts: dict[int, list[int]] = {}
+    for outcomes, mask in masks.items():
+        shifts.setdefault(mask ^ masks[first], []).append(outcomes)
+    probabilities = _trajectory(compiled, first, initial).probabilities()
+    for shift, group in shifts.items():
+        cumulative = np.cumsum(xor_permuted(probabilities, shift))
+        for outcomes in group:
+            yield outcomes, flows[outcomes], pick_index(cumulative, _uniforms(patterns[outcomes])), None
+
+
+def _trajectory_readouts(compiled: _CompiledFlow, patterns: dict, initial: StateVector, reference: StateVector):
+    """Yield (outcomes, flow, readout indices, fidelity) per outcome pattern,
+    each from the pattern's own trajectory, one pattern at a time: the
+    per-pattern check of the hybrid state against `reference`."""
+    for outcomes, shots in patterns.items():
+        state = _trajectory(compiled, outcomes, initial)
+        flow = compiled.evaluate(outcomes)
+        shot_fidelity = fidelity(_undo_byproduct(state, flow), reference)
+        indices = pick_index(np.cumsum(state.probabilities()), _uniforms(shots))
+        del state  # so that the next pattern's trajectory is the only state alive
+        yield outcomes, flow, indices, shot_fidelity
+
+
 def _run_shots(
     circuit: Circuit,
     compiled: _CompiledFlow,
@@ -373,32 +471,29 @@ def _run_shots(
     out and corrected; with a reference state each shot's fidelity is filled
     in too.
 
-    Each shot first makes all its draws on its own stream: its rotation
-    outcomes, then the readout uniform.  Shots are then grouped by outcome
-    bitset in first-seen order, and each group's trajectory, flow and
-    fidelity are computed once, one group at a time, as is the readout
-    correction of each readout index the group's shots pick.  Without
-    random kappa a group's rotation records are equal, so its shots share
-    the first shot's list; shots with the same readout share its tuples.
+    Each shot first makes all its draws (`_draw_outcomes`).  Shots are then
+    grouped by outcome bitset in first-seen order.  Without a reference the
+    run computes one trajectory and reads every group out through its Pauli
+    frame (`_frame_readouts`); with one, each group gets its own trajectory
+    and fidelity (`_trajectory_readouts`).  A group's flow is evaluated
+    once, as is the readout correction of each readout index its shots
+    pick.  Without random kappa a group's rotation records are equal, so
+    they are built once and its shots share the list; shots with the same
+    readout share its tuples.
     """
-    patterns: dict[int, list[tuple[int, list[RotationRecord], float]]] = {}
-    for shot in range(config.shots):
-        rng = RandomSource(config.seed, shot)
-        outcomes, records = _draw_outcomes(compiled, config, rng)
-        group = patterns.setdefault(outcomes, [])
-        if group and config.kappa != "random":
-            records = group[0][1]
-        group.append((shot, records, rng.random()))
+    patterns: dict[int, list[tuple[int, list[RotationRecord] | None, float]]] = {}
+    for shot, outcomes, records, u in _draw_outcomes(compiled, config):
+        patterns.setdefault(outcomes, []).append((shot, records, u))
+    if reference is None:
+        pattern_readouts = _frame_readouts(compiled, patterns, initial)
+    else:
+        pattern_readouts = _trajectory_readouts(compiled, patterns, initial, reference)
     results: list = [None] * config.shots
     reported = circuit.logicals if not config.include_work_readout else tuple(range(circuit.num_qubits))
-    for outcomes, shots in patterns.items():
-        state = _trajectory(compiled, outcomes, initial)
-        flow = compiled.evaluate(outcomes)  # one object, shared by the pattern's shots
-        shot_fidelity = None if reference is None else fidelity(_undo_byproduct(state, flow), reference)
-        indices = pick_index(np.cumsum(state.probabilities()), np.array([u for *_, u in shots]))
-        del state  # so that the next pattern's trajectory is the only state alive
+    for outcomes, flow, indices, shot_fidelity in pattern_readouts:
+        shared = None if config.kappa == "random" else _rotation_records(compiled, outcomes)
         readouts: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        for (shot, records, _), index in zip(shots, indices.tolist()):
+        for (shot, records, _), index in zip(patterns[outcomes], indices.tolist()):
             if index not in readouts:
                 raw_full = [(index >> q) & 1 for q in range(circuit.num_qubits)]
                 corrected_full = tracker.correct_readout(raw_full, flow)
@@ -408,12 +503,12 @@ def _run_shots(
                 raw=raw,
                 corrected=corrected,
                 flow=flow,
-                rotations=records,
+                rotations=records if shared is None else shared,
                 reported_qubits=reported,
                 fidelity=shot_fidelity,
             )
             if config.trace or config.symbolic:
-                results[shot].trace = compiled.trace(records, outcomes, config.symbolic)
+                results[shot].trace = compiled.trace(results[shot].rotations, outcomes, config.symbolic)
     return results
 
 
@@ -503,17 +598,16 @@ def verify_equivalence(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     circuit.validate()
-    config = ExecutionConfig(seed=seed)
+    config = ExecutionConfig(shots=trials, seed=seed)
     config.validate(circuit)
     compiled = _compile_flow(circuit)
     input_rng = np.random.default_rng(seed)
     fidelities = []
-    for trial in range(trials):
+    for trial, outcomes, _, _ in _draw_outcomes(compiled, config):
         if random_inputs or trial == 0:
             logical = _random_state(len(circuit.logicals), input_rng) if random_inputs else None
             initial = _embed_logical(circuit, logical)
             reference = _unitary_state(compiled, initial)
-        outcomes, _ = _draw_outcomes(compiled, config, RandomSource(seed, trial))
         corrected = _undo_byproduct(_trajectory(compiled, outcomes, initial), compiled.evaluate(outcomes))
         fidelities.append(fidelity(corrected, reference))
     return EquivalenceReport(

@@ -16,8 +16,9 @@ into two halves: `draw_rotation` consumes the random draws the reference
 would (the measurement, then the ancilla reset's draw when both reset
 branches are possible) and returns the record, and `rotation_action` applies
 the diagonal for a given outcome as one multiply on the register, with no
-ancilla.  A shot can then draw all its outcomes first, and shots that drew
-the same outcomes share one trajectory.
+ancilla.  A shot can then draw all its outcomes first, and since whether a
+reset draws (`reset_draws`) depends on |theta| only, a run knows where each
+of a shot's draws falls before it makes them.
 """
 from __future__ import annotations
 
@@ -51,6 +52,7 @@ __all__ = [
     "check_stabilizer",
     "draw_rotation",
     "multi_z_rotation",
+    "reset_draws",
     "reset_to_zero",
     "rotation_action",
     "rz_teleport_gadget",
@@ -187,6 +189,14 @@ def _apply_parity_phases(state: StateVector, leaves: tuple[int, ...], phases: np
     return StateVector(state.num_qubits, state.amplitudes * phases.take(parity))
 
 
+def reset_draws(theta: float) -> bool:
+    """Whether the ancilla reset after a rotation by theta makes a draw:
+    both its branches, cos^2(theta/2) and sin^2(theta/2), reach 1e-14.  The
+    sign of theta plays no part, so sign adaptation never changes it."""
+    half = theta / 2
+    return min(cos(half) ** 2, sin(half) ** 2) >= _MIN_PROBABILITY
+
+
 def draw_rotation(
     leaves: tuple[int, ...] | list[int],
     theta: float,
@@ -210,8 +220,7 @@ def draw_rotation(
         outcome = forced
     else:
         raise ValueError("forced outcome must be 0 or 1")
-    half = theta / 2
-    if min(cos(half) ** 2, sin(half) ** 2) >= _MIN_PROBABILITY:
+    if reset_draws(theta):
         rng.random()  # the reset's outcome only sets a global phase
     return RotationRecord(
         theta_requested=theta if theta_requested is None else theta_requested,

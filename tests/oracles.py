@@ -6,6 +6,8 @@ engine.  Qubit 0 is the least significant bit of the basis index, matching the
 package convention, so the kron chain runs from the highest qubit down to
 qubit 0.  The run-JSON reference builds the payload as plain dicts and hands
 it to `json.dumps`, the encoder the package's schema writer must match.
+The frame reference reads every outcome pattern of an hqcm run out of the
+pattern's own trajectory, the one-trajectory-per-pattern way.
 """
 import json
 from functools import reduce
@@ -261,3 +263,42 @@ def trace_records(trace) -> list[dict]:
 def component_record(component):
     """A flow component in JSON: a bit as itself, an expression as text."""
     return component if isinstance(component, int) else str(component)
+
+
+def check_frames_against_trajectories(circuit, config) -> int:
+    """Check an hqcm run's frame readout against one explicit trajectory per
+    outcome pattern, and return the number of distinct patterns.
+
+    For every pattern m, the run's first pattern m0 read through the Pauli
+    frame, p0[i ^ x(m) ^ x(m0)], must equal m's own `_trajectory`
+    probabilities to 1e-12, and every shot's readout index must be the one
+    m's own cumulative picks with the shot's readout uniform.  The run reads
+    out the whole register, so the raw bits are the whole index.
+    """
+    from dataclasses import replace
+
+    from hqcsim import runner
+
+    config = replace(config, include_work_readout=True)
+    results = runner.run_hqcm(circuit, config)
+    compiled = runner._compile_flow(circuit)
+    initial = runner._embed_logical(circuit, None)
+    draws = list(runner._draw_outcomes(compiled, config))
+
+    def x_mask(outcomes: int) -> int:
+        return sum(bit << q for q, bit in enumerate(compiled.evaluate(outcomes).x))
+
+    first = draws[0][1]
+    p0 = runner._trajectory(compiled, first, initial).probabilities()
+    cumulatives = {}
+    for (_, outcomes, _, u), result in zip(draws, results, strict=True):
+        assert sum(record.outcome << r for r, record in enumerate(result.rotations)) == outcomes
+        if outcomes not in cumulatives:
+            own = runner._trajectory(compiled, outcomes, initial).probabilities()
+            frame = p0[np.arange(p0.size) ^ (x_mask(outcomes) ^ x_mask(first))]
+            assert np.max(np.abs(frame - own)) <= 1e-12
+            cumulatives[outcomes] = np.cumsum(own)
+        total = cumulatives[outcomes]
+        index = int(np.searchsorted(total, u * total[-1], side="right"))
+        assert result.raw == tuple((index >> q) & 1 for q in range(circuit.num_qubits))
+    return len(cumulatives)

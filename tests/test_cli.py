@@ -221,6 +221,35 @@ def test_bad_seed_env_exits_one(tmp_path, capsys, monkeypatch, value, command):
     assert capsys.readouterr().err == f"error: HQCSIM_SEED must be a non-negative integer, got {value!r}\n"
 
 
+TOO_LARGE_SEED = str(2**64)
+
+
+@pytest.mark.parametrize("command", [["run", "{path}"], ["run", "{path}", "--mode", "unitary"],
+                                     ["run", "{path}", "--mode", "both"], ["verify", "{path}"],
+                                     ["grover", "--n", "2", "--marked", "1"]])
+def test_seed_beyond_64_bits_exits_one(tmp_path, capsys, command):
+    path = write_circuit(tmp_path, "qubits 2\nH 1\nMZROT pi/4 1 2\n")
+    assert cli.main([a.format(path=path) for a in command] + ["--seed", TOO_LARGE_SEED]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: seed must be below 2**64, got {TOO_LARGE_SEED}\n")
+
+
+@pytest.mark.parametrize("command", [["run", "{path}"], ["verify", "{path}"], ["grover", "--n", "2", "--marked", "1"],
+                                     ["table1"]])
+def test_seed_env_beyond_64_bits_exits_one(tmp_path, capsys, monkeypatch, command):
+    path = write_circuit(tmp_path, "qubits 2\nH 1\n")
+    monkeypatch.setenv("HQCSIM_SEED", TOO_LARGE_SEED)
+    assert cli.main([a.format(path=path) for a in command]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: seed must be below 2**64, got {TOO_LARGE_SEED}\n")
+
+
+def test_largest_seed_runs(tmp_path, capsys):
+    path = write_circuit(tmp_path, "qubits 2\nH 1\nMZROT pi/4 1 2\n")
+    assert cli.main(["run", path, "--shots", "3", "--seed", str(2**64 - 1)]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["seed"] == 2**64 - 1
+
+
 @pytest.mark.parametrize("command", [["grover", "--n", "10", "--marked", "0"], ["run", "{path}"]])
 def test_register_beyond_memory_exits_one(tmp_path, capsys, monkeypatch, command):
     monkeypatch.setattr(core, "_physical_memory", lambda: 1 << 20)  # room for 16 qubits

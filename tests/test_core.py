@@ -318,6 +318,53 @@ class TestRandomSource:
         with pytest.raises(ValueError):
             RandomSource(-1)
 
+    @pytest.mark.parametrize(
+        "seed, stream, message",
+        [
+            (2**64, 0, r"seed must be below 2\*\*64, got 18446744073709551616"),
+            (0, 2**64, r"stream must be below 2\*\*64, got 18446744073709551616"),
+            (0, -1, "stream must be non-negative, got -1"),
+        ],
+    )
+    def test_key_words_beyond_64_bits_rejected(self, seed, stream, message):
+        with pytest.raises(ValueError, match=message):
+            RandomSource(seed, stream)
+        if not seed:
+            with pytest.raises(ValueError, match=message):
+                RandomSource(0).restart(stream)
+
+    @pytest.mark.parametrize(
+        "seed, stream", [(0, 0), (123, 4), (7, 2**64 - 1), (2**63 - 1, 5), (2**63, 1), (2**64 - 1, 0), (2**64 - 1, 9)]
+    )
+    def test_restart_matches_a_fresh_generator(self, seed, stream):
+        source = RandomSource(seed, stream + 1 if stream < 2**64 - 1 else 0)
+        source.uniforms(5)
+        source.bit()  # leaves half of a 64-bit word buffered for the next bit
+        source.restart(stream)
+        fresh = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+        assert source.uniforms(64).tolist() == fresh.random(64).tolist()
+        source.restart(stream)
+        fresh = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+        assert [source.bit() for _ in range(64)] == fresh.integers(0, 2, 64).tolist()
+
+    @pytest.mark.parametrize("seed, stream", [(0, 0), (123, 4), (2**63 - 1, 5)])
+    def test_keys_below_two_to_the_63_unchanged(self, seed, stream):
+        # a list key goes through int64 there, so it is the exact key
+        fresh = np.random.Generator(np.random.Philox(key=[seed, stream]))
+        assert RandomSource(seed, stream).uniforms(64).tolist() == fresh.random(64).tolist()
+
+    def test_high_seeds_are_distinct_keys(self):
+        # a list key of a seed >= 2**63 goes through float64, which merged
+        # 2**63 with 2**63 + 5 and sent 2**64 - 1 to key word 0 on x86
+        draws = [RandomSource(seed, 3).uniforms(4).tolist() for seed in (0, 2**63, 2**63 + 5, 2**64 - 1)]
+        assert len({tuple(d) for d in draws}) == 4
+
+    @pytest.mark.parametrize("count", [1, 3, 4, 5, 64, 768])
+    def test_array_draw_equals_sequential_draws(self, count):
+        array, sequential = RandomSource(17, count), RandomSource(17, count)
+        assert array.uniforms(count).tolist() == [sequential.random() for _ in range(count)]
+        assert array.random() == sequential.random()
+
     def test_sample_index(self):
         rng = RandomSource(3, 0)
         probs = np.array([0.0, 0.0, 1.0, 0.0])

@@ -1,6 +1,7 @@
 """Property tests over generated circuits: the text round trip, the unitary
 run against the dense oracle, hybrid execution against the unitary
-reference, and the run JSON's schema writer against `json.dumps`."""
+reference, the frame readout against one trajectory per outcome pattern,
+and the run JSON's schema writer against `json.dumps`."""
 from dataclasses import replace
 from math import pi
 
@@ -119,6 +120,19 @@ def block_circuit(draw):
 def test_hybrid_matches_unitary_with_work_qubits_and_kappa(circuit, seed, random_inputs):
     report = verify_equivalence(circuit, trials=2, seed=seed, random_inputs=random_inputs)
     assert report.passed, report.fidelities
+
+
+@given(block_circuit() | flat_circuit(), st.integers(0, 2**16), st.data())
+@PROPERTY
+def test_frame_readout_matches_per_pattern_trajectories(circuit, seed, data):
+    rotations = circuit.rotation_count()
+    config = ExecutionConfig(
+        shots=data.draw(st.integers(1, 24)),
+        seed=seed,
+        kappa=data.draw(st.sampled_from(["zero", "random"])),
+        forced_outcomes=data.draw(st.none() | st.lists(st.integers(0, 1), min_size=rotations, max_size=rotations)),
+    )
+    assert oracles.check_frames_against_trajectories(circuit, config) >= 1
 
 
 @given(flat_circuit(), st.integers(0, 2**16), st.data())

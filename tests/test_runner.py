@@ -257,13 +257,12 @@ class TestHotPath:
         monkeypatch.setattr(tracker, "adapt_angle", lambda *args: calls.append(args) or adapt_angle(*args))
         circuit = Circuit(2, 0, [NamedGate(0, "H"), NamedGate(0, "RZ", 0.3), MultiZRot((0, 1), 0.7),
                                  NamedGate(1, "RZ", -0.2)])
-        shots = 8
-        results = run_hqcm(circuit, ExecutionConfig(shots=shots, seed=5))
+        results = run_hqcm(circuit, ExecutionConfig(shots=8, seed=5))
         patterns = len({r.rotations[0].outcome for r in results})
         assert patterns == 2
-        # the draw phase adapts the MZROT angle once per shot; each outcome
-        # pattern's trajectory adapts both RZ angles and the MZROT angle once
-        assert len(calls) == shots * 1 + patterns * 3
+        # each outcome pattern's records adapt the MZROT angle once, and the
+        # run's one trajectory adapts both RZ angles and the MZROT angle once
+        assert len(calls) == patterns * 1 + 3
         assert {theta for _, theta in calls} == {0.3, 0.7, -0.2}
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap settings are glibc's")
@@ -290,6 +289,7 @@ class TestConfigValidation:
             (ExecutionConfig(forced_outcomes=[True, 0]), r"forced_outcomes\[0\] must be the int 0 or 1, got True"),
             (ExecutionConfig(forced_outcomes=[0, 1.0]), r"forced_outcomes\[1\] must be the int 0 or 1, got 1.0"),
             (ExecutionConfig(forced_outcomes=[0, -1]), r"forced_outcomes\[1\] must be the int 0 or 1, got -1"),
+            (ExecutionConfig(seed=2**64), r"seed must be below 2\*\*64, got 18446744073709551616"),
         ],
     )
     def test_rejected_before_any_state_work(self, monkeypatch, config, message):
@@ -309,13 +309,25 @@ class TestConfigValidation:
 
 def logging_source(log: list):
     """A RandomSource class whose instances append (stream, call, value) to
-    `log` for every draw."""
+    `log` for every draw, an array draw value by value, and list themselves
+    in its `instances`."""
 
     class LoggingSource(core.RandomSource):
+        instances = []
+
+        def __init__(self, seed, stream=0):
+            super().__init__(seed, stream)
+            self.instances.append(self)
+
         def random(self):
             value = super().random()
             log.append((self.stream, "random", value))
             return value
+
+        def uniforms(self, count):
+            values = super().uniforms(count)
+            log.extend((self.stream, "random", value) for value in values.tolist())
+            return values
 
         def bit(self):
             value = super().bit()
@@ -390,9 +402,13 @@ class TestDrawThenTrajectory:
                 interleaved_shot(circuit, config, shot, initial, logging_source(interleaved_log))
                 for shot in range(config.shots)
             ]
-            monkeypatch.setattr(runner, "RandomSource", logging_source(run_log))
+            source = logging_source(run_log)
+            monkeypatch.setattr(runner, "RandomSource", source)
             results = run_hqcm(circuit, config)
             monkeypatch.undo()
+            # the run re-keys one source per shot and, without random kappa,
+            # makes each shot's draws as one array: the same numbers in order
+            assert len(source.instances) == 1
             assert run_log == interleaved_log
             compiled = runner._compile_flow(circuit)
             for result, (records, state, flow, index) in zip(results, expected):
@@ -417,15 +433,19 @@ class TestDrawThenTrajectory:
                 assert result.raw == tuple((index >> q) & 1 for q in result.reported_qubits)
                 assert result.rotations == records
 
-    def test_one_trajectory_per_outcome_pattern(self, monkeypatch):
+    def test_one_trajectory_per_hqcm_run(self, monkeypatch):
         calls = []
         trajectory = runner._trajectory
         monkeypatch.setattr(runner, "_trajectory", lambda *args: calls.append(args[1]) or trajectory(*args))
         circuit = special_angle_circuit()
         rotations = circuit.rotation_count()
-        for forced, kappa in (([1, 0] * rotations)[:rotations], "zero"), ([0] * rotations, "random"):
+        for config in (
+            ExecutionConfig(shots=50, seed=1, forced_outcomes=([1, 0] * rotations)[:rotations]),
+            ExecutionConfig(shots=50, seed=1, forced_outcomes=[0] * rotations, kappa="random"),
+            ExecutionConfig(shots=50, seed=2, kappa="random", include_work_readout=True),
+        ):
             calls.clear()
-            run_hqcm(circuit, ExecutionConfig(shots=50, seed=1, forced_outcomes=forced, kappa=kappa))
+            run_hqcm(circuit, config)
             assert len(calls) == 1
         calls.clear()
         run_hqcm(Circuit(3, 0, [NamedGate(0, "H"), CzGate(0, 1), SingleQubit(2, 0.3, 0.1, 0.9)]),
@@ -435,16 +455,32 @@ class TestDrawThenTrajectory:
         results = run_hqcm(circuit, ExecutionConfig(shots=100, seed=3))
         distinct = {tuple(record.outcome for record in r.rotations) for r in results}
         assert 1 < len(distinct) < 100
-        assert len(calls) == len(set(calls)) == len(distinct)
+        # the one trajectory is the first shot's pattern; the others are frames
+        assert calls == [sum(record.outcome << r for r, record in enumerate(results[0].rotations))]
         calls.clear()
         run_both(circuit, ExecutionConfig(mode="both", shots=100, seed=3))
-        # the unitary reference is one more trajectory, the all-zero pattern
-        assert len(calls) == len(distinct) + 1 and calls[0] == 0
+        # both mode checks every pattern: one trajectory each, plus the
+        # unitary reference, the all-zero pattern
+        assert len(calls) == len(set(calls[1:])) + 1 == len(distinct) + 1 and calls[0] == 0
+        calls.clear()
+        assert verify_equivalence(circuit, trials=5, seed=3).passed
+        assert len(calls) == 1 + 5
+
+    def test_frames_match_per_pattern_trajectories(self):
+        # work qubits, random and per-gate kappa, forced outcomes and
+        # theta in {0, +-pi, 2pi}; each pattern beyond the first is a frame
+        cases = [*self.cases()]
+        for circuit in (build_grover(3, 5), triple_control_z_circuit()):
+            cases += [(circuit, ExecutionConfig(shots=40, seed=8)),
+                      (circuit, ExecutionConfig(shots=40, seed=9, kappa="random"))]
+        patterns = [oracles.check_frames_against_trajectories(circuit, config) for circuit, config in cases]
+        assert sum(patterns) > 5 * len(cases)
 
     def test_wide_run_holds_few_states(self):
         # 14 rotations make 2^14 outcome patterns, so 32 shots all differ and
-        # each needs its own trajectory; a run that kept them would hold 32
-        # states of 256 KiB
+        # each reads out through its own frame; a run that kept each
+        # pattern's state or shifted cumulative would hold 32 arrays of
+        # 128-256 KiB
         n = 14
         gates = [NamedGate(q, "H") for q in range(n)] + [MultiZRot((q, (q + 1) % n), 0.3 + q) for q in range(n)]
         circuit = Circuit(n, 0, gates + [NamedGate(q, "H") for q in range(n)])
